@@ -91,8 +91,12 @@ def _read_source(args) -> tuple[str, str]:
     if inline is not None:
         return inline, "inline"
     if args.file:
-        with open(args.file, encoding="utf-8") as fh:
-            return fh.read().strip(), args.file
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                return fh.read().strip(), args.file
+        except OSError as exc:
+            reason = exc.strerror or exc
+            raise ValueError(f"cannot read --file {args.file}: {reason}") from None
     raise ValueError("an input polynomial is required (inline or --file)")
 
 
@@ -303,15 +307,17 @@ _FAMILY_BUILDERS = (
 
 
 def _survey_sample(task: tuple) -> dict:
-    kind, d, index, seed, bound = task
+    # Five fields, the run-wide limits grouped last: perfbench/survey_child.py
+    # wraps this function and unpacks the task the same way.
+    kind, d, index, seed, (bound, max_degree) = task
     if kind == "family":
         label, builder = _FAMILY_BUILDERS[index]
-        pf = builder(d)
+        pf = builder(d, max_degree=max_degree)
     else:
         label = None
-        pf = random_perazzo_form(d, seed=seed, bound=bound)
+        pf = random_perazzo_form(d, seed=seed, bound=bound, max_degree=max_degree)
     f = pf.to_polynomial()
-    hv = h_vector(f)
+    hv = h_vector(f, max_degree=max_degree)
     h = hv.entries
     record = {
         "degree": d,
@@ -332,8 +338,8 @@ def _survey_sample(task: tuple) -> dict:
         record["maximal"] = None
         record["bound_ok"] = True
     record["case"] = classify(pf).case.value if d >= 5 else None
-    record["wlp"] = has_wlp(f, seed=seed).holds
-    record["slp"] = has_slp(f).holds
+    record["wlp"] = has_wlp(f, seed=seed, max_degree=max_degree).holds
+    record["slp"] = has_slp(f, max_degree=max_degree).holds
     return record
 
 
@@ -355,15 +361,16 @@ def cmd_survey(args) -> dict:
     samples = args.samples
     if samples < 0:
         raise ValueError("--samples must be nonnegative")
+    limits = (args.bound, args.max_degree)
     tasks: list[tuple] = []
     for d in degrees:
         if samples == 0:
             for index in range(len(_FAMILY_BUILDERS)):
-                tasks.append(("family", d, index, args.seed, args.bound))
+                tasks.append(("family", d, index, args.seed, limits))
         else:
             for index in range(samples):
                 derived = args.seed * 1000003 + d * 1009 + index
-                tasks.append(("random", d, index, derived, args.bound))
+                tasks.append(("random", d, index, derived, limits))
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -753,7 +753,10 @@ def _binary_from_pairs(ring, degree, pairs) -> HomogeneousPoly:
 
 
 def osculating_family(
-    d: int, g_coeffs=(0, 0, 0), vars: VariableSet | None = None
+    d: int,
+    g_coeffs=(0, 0, 0),
+    vars: VariableSet | None = None,
+    max_degree: int | None = None,
 ) -> PerazzoForm:
     """p = (u^(d-1), u^(d-2) v, u^(d-3) v^2), g in the span killed by V^3."""
     if d < 3:
@@ -765,11 +768,14 @@ def osculating_family(
     g = _binary_from_pairs(
         ring, d, (((d - j, j), g_coeffs[j]) for j in range(3))
     )
-    return PerazzoForm(ps[0], ps[1], ps[2], g)
+    return PerazzoForm(ps[0], ps[1], ps[2], g, max_degree=max_degree)
 
 
 def tangent_point_family(
-    d: int, g_coeffs=(0, 0, 0), vars: VariableSet | None = None
+    d: int,
+    g_coeffs=(0, 0, 0),
+    vars: VariableSet | None = None,
+    max_degree: int | None = None,
 ) -> PerazzoForm:
     """p = (u^(d-1), u^(d-2) v, v^(d-1)), g in the span killed by U V^2."""
     if d < 3:
@@ -787,7 +793,7 @@ def tangent_point_family(
             ((0, d), g_coeffs[2]),
         ),
     )
-    return PerazzoForm(p0, p1, p2, g)
+    return PerazzoForm(p0, p1, p2, g, max_degree=max_degree)
 
 
 def three_points_family(
@@ -796,6 +802,7 @@ def three_points_family(
     mu: Fraction | int = 1,
     g_coeffs=(0, 0, 0),
     vars: VariableSet | None = None,
+    max_degree: int | None = None,
 ) -> PerazzoForm:
     """p = (u^(d-1), (lam u + mu v)^(d-1), v^(d-1)) with lam, mu nonzero."""
     if d < 3:
@@ -813,7 +820,7 @@ def three_points_family(
         + (middle**d).scale(g_coeffs[1])
         + HomogeneousPoly.monomial(ring, (0, d), g_coeffs[2])
     )
-    return PerazzoForm(p0, p1, p2, g)
+    return PerazzoForm(p0, p1, p2, g, max_degree=max_degree)
 
 
 def random_perazzo_form(
@@ -822,6 +829,7 @@ def random_perazzo_form(
     bound: int = 9,
     with_g: bool = True,
     vars: VariableSet | None = None,
+    max_degree: int | None = None,
 ) -> PerazzoForm:
     """Deterministic random Perazzo form: integer coefficients in [-bound, bound].
 
@@ -850,5 +858,5 @@ def random_perazzo_form(
         )
         if stacked.rank() == 3:
             g = draw(d) if with_g else HomogeneousPoly.zero(ring, d)
-            return PerazzoForm(ps[0], ps[1], ps[2], g)
+            return PerazzoForm(ps[0], ps[1], ps[2], g, max_degree=max_degree)
     raise InternalError("could not draw independent binary forms")

@@ -2,28 +2,35 @@
 
 The degree-t piece [A_f]_t is coordinatized through the catalecticant: a
 monomial basis is chosen greedily in graded-lex order among operators whose
-images w(f) are linearly independent.  The t-th relative Hessian of f is the
-matrix ((w_i w_j)(f)) over that basis; its determinant vanishing or not is
-basis-independent and decides the strong Lefschetz property (the classical
-higher-Hessian criterion: L = sum a_i y_i is strong-Lefschetz exactly when no
-Hessian determinant vanishes at a, so identical vanishing for t <= d/2 kills
-every candidate).
+images w(f) are linearly independent (the pivot columns of the integer
+catalecticant).  The t-th relative Hessian of f is the matrix ((w_i w_j)(f))
+over that basis; its determinant vanishing or not is basis-independent and
+decides the strong Lefschetz property (the classical higher-Hessian
+criterion: L = sum a_i y_i is strong-Lefschetz exactly when no Hessian
+determinant vanishes at a, so identical vanishing for t <= d/2 kills every
+candidate).
 
 The weak Lefschetz property asks for maximal rank of multiplication
-x L : [A]_i -> [A]_{i+1} for one general linear form.  "General" is decided
-exactly: the map's matrix over the function field Q(a_0..a_n) in the
-coefficients of L has a generic rank, computed by fraction-free elimination.
-A fast path first tries explicit random rational forms, whose achieved rank
-is a certificate of generic maximality; only stages that stay deficient after
-three attempts escalate to the symbolic computation.
+x L : [A]_i -> [A]_{i+1} for one general linear form.  That rank is
+dim span{(L w)(f) : w in [A]_i}, read at h_{i+1} coefficient positions where
+cat_{i+1}(f) has independent rows; no basis of [A]_{i+1} is solved against.
+A_f is Gorenstein, so with m = floor((d-1)/2) a form injective on [A]_m has
+maximal rank at every stage (Migliore-Miro-Roig-Nagel, Trans. AMS 2011,
+Prop. 2.1) and one stage decides.  "General" is decided exactly: random
+rational forms are tried first and one reaching the target rank certifies
+the property; otherwise the generic rank of the map over the function field
+Q(a_0..a_n) in the coefficients of L is computed by fraction-free elimination.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
+from .bareiss import echelon_int
 from .inverse_systems import ensure_desk_scale, h_vector
 from .linalg import PolyMatrix, RationalMatrix, det_poly, generic_rank
 from .poly import HomogeneousPoly, VariableSet, apply_monomial_op, monomials
@@ -52,6 +59,24 @@ _WLP_COEFF_RANGE = (1, 997)
 _WLP_ATTEMPTS = 3
 
 
+def _pivots(vectors: Sequence[dict[tuple[int, ...], Fraction]]) -> list[int]:
+    """Indices of the greedy independent subfamily of sparse rational vectors.
+
+    These are the pivot columns of the integer matrix whose columns are the
+    vectors with their common denominator cleared, which keeps the pivots.
+    """
+    den = math.lcm(*(c.denominator for v in vectors for c in v.values()))
+    index: dict[tuple[int, ...], int] = {}
+    rows: list[list[int]] = []
+    for j, v in enumerate(vectors):
+        for key, c in v.items():
+            if key not in index:
+                index[key] = len(rows)
+                rows.append([0] * len(vectors))
+            rows[index[key]][j] = int(c * den)
+    return echelon_int(rows, len(vectors))[1]
+
+
 def monomial_basis_of_A(
     f: HomogeneousPoly,
     t: int,
@@ -69,27 +94,10 @@ def monomial_basis_of_A(
         raise ValueError("zero polynomial has no quotient algebra basis")
     if not 0 <= t <= f.degree:
         raise ValueError(f"degree {t} outside 0..{f.degree}")
-    n = len(f.vars)
-    order = monomials(n, t)
+    order = monomials(len(f.vars), t)
     if reverse:
         order = order[::-1]
-    row_index = {e: i for i, e in enumerate(monomials(n, f.degree - t))}
-    reduced: list[tuple[int, list[Fraction]]] = []  # (pivot position, vector)
-    basis: list[tuple[int, ...]] = []
-    for op in order:
-        image = apply_monomial_op(op, f)
-        vec = [Fraction(0)] * len(row_index)
-        for e, c in image.terms.items():
-            vec[row_index[e]] = c
-        for piv, rvec in reduced:
-            if vec[piv]:
-                factor = vec[piv] / rvec[piv]
-                vec = [a - factor * b for a, b in zip(vec, rvec)]
-        piv = next((i for i, x in enumerate(vec) if x), None)
-        if piv is not None:
-            reduced.append((piv, vec))
-            basis.append(op)
-    return basis
+    return [order[j] for j in _pivots([apply_monomial_op(op, f).terms for op in order])]
 
 
 @dataclass(frozen=True)
@@ -173,40 +181,29 @@ def has_slp(
     return LefschetzVerdict("SLP", True, None, CERT_HESSIAN_NONZERO)
 
 
-class _CoordSystem:
-    """Coordinates on [A_f]_j: solve w(f)-vectors against a pivot square."""
-
-    __slots__ = ("basis", "row_index", "sel", "w_inv")
-
-    def __init__(self, f: HomogeneousPoly, j: int, max_degree: int | None):
-        self.basis = monomial_basis_of_A(f, j, max_degree=max_degree)
-        self.row_index = {
-            e: i for i, e in enumerate(monomials(len(f.vars), f.degree - j))
-        }
-        columns = []
-        for b in self.basis:
-            vec = [Fraction(0)] * len(self.row_index)
-            for e, c in apply_monomial_op(b, f).terms.items():
-                vec[self.row_index[e]] = c
-            columns.append(vec)
-        v = RationalMatrix(columns, ncols=len(self.row_index))  # rows = columns of V
-        _, piv = v.rref()  # pivot columns of V^T = independent rows of V
-        self.sel = piv
-        w = RationalMatrix(
-            [[columns[c][r] for c in range(len(self.basis))] for r in self.sel],
-            ncols=len(self.basis),
-        )
-        self.w_inv = w.inverse()
-
-    def coords(self, image: HomogeneousPoly) -> list[Fraction]:
-        vec = [Fraction(0)] * len(self.row_index)
-        for e, c in image.terms.items():
-            vec[self.row_index[e]] = c
-        return self.w_inv.apply_to_vector([vec[r] for r in self.sel])
-
-
 def _parameter_variables(n: int) -> VariableSet:
     return VariableSet(tuple(f"a{i}" for i in range(n)))
+
+
+def _unit_exponents(n: int) -> list[tuple[int, ...]]:
+    return [tuple(1 if k == m else 0 for m in range(n)) for k in range(n)]
+
+
+def _row_coordinates(
+    f: HomogeneousPoly, t: int
+) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], dict]]:
+    """Coordinates on S_t(f): positions of h_t independent rows of cat_t(f).
+
+    Returns those positions (monomials of degree d-t, graded-lex first) and
+    the image terms w(f) of every degree-t monomial operator w.
+    """
+    images = {op: apply_monomial_op(op, f).terms for op in monomials(len(f.vars), t)}
+    rows: dict[tuple[int, ...], dict] = {}
+    for j, terms in enumerate(images.values()):
+        for e, c in terms.items():
+            rows.setdefault(e, {})[j] = c
+    live = [e for e in monomials(len(f.vars), f.degree - t) if e in rows]
+    return [live[r] for r in _pivots([rows[e] for e in live])], images
 
 
 def mult_map_matrix(
@@ -215,55 +212,39 @@ def mult_map_matrix(
     L: HomogeneousPoly | None = None,
     max_degree: int | None = None,
 ) -> RationalMatrix | PolyMatrix:
-    """Matrix of multiplication by L from [A_f]_i to [A_f]_{i+1}.
+    """Matrix of multiplication by L from [A_f]_i to [A_f]_{i+1}, h_{i+1} x h_i.
 
-    Bases are the greedy monomial bases of both graded pieces.  With a
-    concrete linear operator L the entries are rational; with L=None the map
-    is taken with symbolic coefficients a_0..a_n and the entries are linear
-    forms in those parameters.
+    Column c is the image (L w_c)(f) of the c-th greedy basis operator of
+    [A_f]_i, read at h_{i+1} coefficient positions where cat_{i+1}(f) has
+    independent rows (graded-lex first); on S_{i+1}(f) that projection is
+    injective, so the matrix has the rank of the map.  With a concrete linear
+    operator L the entries are rational; with L=None the map is taken with
+    symbolic coefficients a_0..a_n and the entry at position x^b is the linear
+    form sum_k a_k * coefficient of x^b in (y_k w_c)(f).
     """
     ensure_desk_scale(f, max_degree)
     if not 0 <= i < f.degree:
         raise ValueError(f"degree {i} outside 0..{f.degree - 1}")
-    dual = f.vars.dual()
     if L is not None:
-        if L.vars != dual:
+        if L.vars != f.vars.dual():
             raise ValueError("L must be an operator over the dual variables")
         if L.degree != 1:
             raise ValueError("L must be linear")
     src = monomial_basis_of_A(f, i, max_degree=max_degree)
-    dst = _CoordSystem(f, i + 1, max_degree)
-    n = len(f.vars)
+    positions, images = _row_coordinates(f, i + 1)
+    unit = _unit_exponents(len(f.vars))
+    shifted = [[images[tuple(map(sum, zip(u, w)))] for u in unit] for w in src]
+    # entries[r][c][k]: coefficient of x^positions[r] in (y_k w_c)(f)
+    entries = [[[im.get(pos, 0) for im in col] for col in shifted] for pos in positions]
     if L is not None:
-        cols = []
-        for w in src:
-            image = HomogeneousPoly.zero(f.vars, f.degree - i - 1)
-            for le, lc in L.terms.items():
-                combined = tuple(a + b for a, b in zip(le, w))
-                image = image + apply_monomial_op(combined, f).scale(lc)
-            cols.append(dst.coords(image))
-        return RationalMatrix(
-            [[cols[c][r] for c in range(len(src))] for r in range(len(dst.basis))],
-            ncols=len(src),
-        )
-    params = _parameter_variables(n)
-    unit = [tuple(1 if k == m else 0 for m in range(n)) for k in range(n)]
-    cols = []
-    for w in src:
-        per_param = []
-        for k in range(n):
-            combined = tuple(a + b for a, b in zip(unit[k], w))
-            per_param.append(dst.coords(apply_monomial_op(combined, f)))
-        entries = []
-        for r in range(len(dst.basis)):
-            terms = {unit[k]: per_param[k][r] for k in range(n) if per_param[k][r]}
-            entries.append(HomogeneousPoly(params, 1, terms))
-        cols.append(entries)
-    return PolyMatrix(
-        params,
-        [[cols[c][r] for c in range(len(src))] for r in range(len(dst.basis))],
-        ncols=len(src),
-    )
+        a = [L.coefficient(u) for u in unit]
+        rows = [[sum(x * y for x, y in zip(a, e)) for e in row] for row in entries]
+        return RationalMatrix(rows, ncols=len(src))
+    params = _parameter_variables(len(f.vars))
+    rows = [
+        [HomogeneousPoly(params, 1, dict(zip(unit, e))) for e in row] for row in entries
+    ]
+    return PolyMatrix(params, rows, ncols=len(src))
 
 
 def check_lefschetz_element(
@@ -288,42 +269,50 @@ def has_wlp(
 ) -> LefschetzVerdict:
     """Weak Lefschetz property for a general linear form, decided exactly.
 
-    Every stage i needs generic rank min(h_i, h_{i+1}) for
-    x L : [A]_i -> [A]_{i+1}.  Random integer forms (coefficients in
-    [1, 997], derived from `seed`) are tried three times as witnesses; any
-    stage still deficient is settled symbolically over the function field in
-    the coefficients of L, which is a proof either way.
+    Stage i needs generic rank min(h_i, h_{i+1}) for x L : [A]_i -> [A]_{i+1}.
+    With m = floor((d-1)/2) and h_m <= h_{m+1}, injectivity at stage m alone
+    decides.  Random integer forms (coefficients in [1, 997], derived from
+    `seed`) are tried three times there; the first reaching rank h_m is the
+    witness, valid at every stage.  Otherwise the stage is settled
+    symbolically over the function field in the coefficients of L.  When
+    h_m > h_{m+1}, h is not unimodal and WLP fails outright.
+
+    On failure `failing_degree` is the first failing stage plus one.  Stages
+    i and d-1-i are dual, so that stage is at most m: stages below m are
+    scanned with the first random form, symbolically only where it falls
+    short, and stage m is reported when all of them pass.
     """
     ensure_desk_scale(f, max_degree)
     h = h_vector(f, max_degree)
     d = f.degree
+    if d == 0:
+        return LefschetzVerdict("WLP", True, None, CERT_GENERIC_RANK_MAXIMAL)
+    m = (d - 1) // 2
     dual = f.vars.dual()
-    n = len(f.vars)
-    targets = {i: min(h[i], h[i + 1]) for i in range(d)}
-    undecided = set(targets)
-    witness: HomogeneousPoly | None = None
     rng = random.Random(seed)
-    unit = [tuple(1 if k == m else 0 for m in range(n)) for k in range(n)]
-    for _ in range(_WLP_ATTEMPTS):
-        if not undecided:
-            break
-        coeffs = [rng.randint(*_WLP_COEFF_RANGE) for _ in range(n)]
-        L = HomogeneousPoly(dual, 1, {unit[k]: coeffs[k] for k in range(n)})
-        certified = set()
-        for i in targets:
-            if mult_map_matrix(f, i, L, max_degree=max_degree).rank() == targets[i]:
-                certified.add(i)
-        if certified == set(targets):
-            witness = L
-        undecided -= certified
-    failing = []
-    for i in sorted(undecided):
-        if generic_rank(mult_map_matrix(f, i, None, max_degree=max_degree)) < targets[i]:
-            failing.append(i)
-    if failing:
-        return LefschetzVerdict(
-            "WLP", False, failing[0] + 1, CERT_ALL_SPECIALIZATIONS_DEFICIENT
-        )
+    unit = _unit_exponents(len(dual))
+    candidates = [
+        HomogeneousPoly(dual, 1, {u: rng.randint(*_WLP_COEFF_RANGE) for u in unit})
+        for _ in range(_WLP_ATTEMPTS)
+    ]
+
+    def reaches(i: int, L: HomogeneousPoly | None) -> bool:
+        target = min(h[i], h[i + 1])
+        matrix = mult_map_matrix(f, i, L, max_degree=max_degree)
+        return (matrix.rank() if L is not None else generic_rank(matrix)) == target
+
+    if h[m] <= h[m + 1]:
+        for L in candidates:
+            if reaches(m, L):
+                return LefschetzVerdict(
+                    "WLP", True, None, CERT_GENERIC_RANK_MAXIMAL, witness=L
+                )
+        if reaches(m, None):
+            return LefschetzVerdict("WLP", True, None, CERT_GENERIC_RANK_MAXIMAL)
+    failing = next(
+        (i for i in range(m) if not reaches(i, candidates[0]) and not reaches(i, None)),
+        m,
+    )
     return LefschetzVerdict(
-        "WLP", True, None, CERT_GENERIC_RANK_MAXIMAL, witness=witness
+        "WLP", False, failing + 1, CERT_ALL_SPECIALIZATIONS_DEFICIENT
     )

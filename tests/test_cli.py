@@ -256,6 +256,17 @@ def test_guard_error_exits_4_and_max_degree_lifts_it(capsys):
     assert report["results"]["h"] == [1] * 34
 
 
+def test_survey_passes_max_degree_to_every_sample(capsys):
+    for samples in ("1", "0"):
+        rc, _, err = run_cli(
+            capsys,
+            ["survey", "--degrees", "6", "--max-degree", "5", "--samples", samples,
+             "--jobs", "1"],
+        )
+        assert rc == 4, samples
+        assert "guard:" in err
+
+
 def test_internal_error_exits_5(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise InternalError("forced")
@@ -278,6 +289,15 @@ def test_file_input_matches_inline(capsys, tmp_path):
     assert inline["source"] == "inline"
     assert from_file["input"] == inline["input"] == "u^3*v"
     assert from_file["results"] == inline["results"]
+
+
+def test_unreadable_file_is_a_usage_error(capsys, tmp_path):
+    for path in (tmp_path / "missing.txt", tmp_path):
+        rc, out, err = run_cli(capsys, ["hvector", "--file", str(path)])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("usage error: cannot read --file")
+        assert err.count("\n") == 1
 
 
 def test_out_writes_report_file(capsys, tmp_path):

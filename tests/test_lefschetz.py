@@ -4,8 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from perazzo.forms import random_perazzo_form
+from perazzo.forms import (
+    osculating_family,
+    random_perazzo_form,
+    tangent_point_family,
+    three_points_family,
+)
 from perazzo.lefschetz import (
     CERT_ALL_SPECIALIZATIONS_DEFICIENT,
     CERT_GENERIC_RANK_MAXIMAL,
@@ -19,7 +25,7 @@ from perazzo.lefschetz import (
     mult_map_matrix,
 )
 from perazzo.inverse_systems import h_vector
-from perazzo.linalg import PolyMatrix
+from perazzo.linalg import PolyMatrix, generic_rank
 from perazzo.parsing import parse_poly
 from perazzo.poly import HomogeneousPoly, VariableSet, random_binary_form
 
@@ -207,3 +213,35 @@ def test_wlp_seed_changes_attempts_not_verdict(wlp_sextic_pair):
     for seed in (0, 7, 23):
         assert has_wlp(holds, seed=seed).holds
         assert not has_wlp(fails, seed=seed).holds
+
+
+_random_forms = st.builds(
+    lambda d, seed, with_g: random_perazzo_form(d, seed=seed, with_g=with_g),
+    st.integers(4, 7),
+    st.integers(0, 10**6),
+    st.booleans(),
+)
+_family_forms = st.builds(
+    lambda build, d, g: build(d, g_coeffs=g),
+    st.sampled_from([osculating_family, tangent_point_family, three_points_family]),
+    st.integers(5, 7),
+    st.tuples(*[st.integers(-3, 3)] * 3),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(pf=st.one_of(_random_forms, _family_forms), seed=st.integers(0, 50))
+def test_wlp_middle_stage_matches_all_stage_scan(pf, seed):
+    f = pf.to_polynomial()
+    h = h_vector(f)
+    failing = [
+        i
+        for i in range(f.degree)
+        if generic_rank(mult_map_matrix(f, i, None)) < min(h[i], h[i + 1])
+    ]
+    verdict = has_wlp(f, seed=seed)
+    assert verdict.holds == (not failing)
+    assert verdict.failing_degree == (failing[0] + 1 if failing else None)
+    if verdict.witness is not None:
+        stages = check_lefschetz_element(f, verdict.witness)
+        assert all(got == target for got, target in stages)
