@@ -1,4 +1,4 @@
-"""Fraction-free integer elimination kernels, pure-Python twin.
+"""Fraction-free integer elimination kernels.
 
 Bareiss one-step elimination: every intermediate entry is a minor of the
 input, so the running division by the previous pivot is exact over Z.  The

@@ -1,16 +1,10 @@
-"""Integer elimination backend selection.
+"""Integer elimination: the fraction-free Bareiss kernels of `_bareiss_py`.
 
-Prefers the compiled extension, falls back to the pure-Python twin; both
-expose identical functions.  `BACKEND` names the one in use.
+`BACKEND` names the implementation; it is recorded with benchmark runs.
 """
 
-try:
-    from ._bareiss import det_int, echelon_int, rank_int
+from ._bareiss_py import det_int, echelon_int, rank_int
 
-    BACKEND = "cython"
-except ImportError:  # pragma: no cover - depends on the build environment
-    from ._bareiss_py import det_int, echelon_int, rank_int
-
-    BACKEND = "python"
+BACKEND = "python"
 
 __all__ = ["echelon_int", "rank_int", "det_int", "BACKEND"]

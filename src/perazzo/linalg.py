@@ -1,9 +1,9 @@
 """Exact dense linear algebra over Q and over polynomial rings.
 
-`RationalMatrix` holds Fraction entries; rank, determinant and kernel go
-through the fraction-free integer Bareiss kernels (compiled when available)
-after clearing denominators row by row, which changes neither rank nor
-kernel and scales the determinant by a known factor.
+`RationalMatrix` holds Fraction entries; rank, determinant and reduced row
+echelon form (hence kernel, inverse and solve) go through the fraction-free
+integer Bareiss kernel after clearing denominators row by row, which changes
+neither rank nor row space and scales the determinant by a known factor.
 
 `PolyMatrix` holds HomogeneousPoly entries over one variable set.
 `generic_rank` is the rank over the fraction field K(parameters), computed by
@@ -167,52 +167,37 @@ class RationalMatrix:
         Deterministic: vectors are indexed by the free columns in increasing
         order, scaled content-free with positive first nonzero entry.
         """
-        int_rows, _ = self._int_rows()
-        live_rows = [r for r in int_rows if any(r)]
-        if not live_rows:
-            return [
-                [Fraction(1) if i == j else Fraction(0) for i in range(self.ncols)]
-                for j in range(self.ncols)
-            ]
-        ech, piv_cols, _ = bareiss.echelon_int(live_rows, self.ncols)
+        red, piv_cols = self.rref()
         piv_set = set(piv_cols)
         free_cols = [j for j in range(self.ncols) if j not in piv_set]
         basis = []
         for free in free_cols:
             x = [Fraction(0)] * self.ncols
             x[free] = Fraction(1)
-            for i in range(len(piv_cols) - 1, -1, -1):
-                pc = piv_cols[i]
-                row = ech[i]
-                s = sum(
-                    (Fraction(row[k]) * x[k] for k in range(pc + 1, self.ncols) if row[k]),
-                    Fraction(0),
-                )
-                x[pc] = -s / row[pc]
+            for i, pc in enumerate(piv_cols):
+                x[pc] = -red.rows[i][free]
             basis.append(_primitive(x))
         return basis
 
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
-        """Reduced row echelon form and its pivot columns."""
-        m = [list(r) for r in self.rows]
-        piv_cols = []
-        r = 0
-        for c in range(self.ncols):
-            p = next((i for i in range(r, self.nrows) if m[i][c]), None)
-            if p is None:
-                continue
-            m[r], m[p] = m[p], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.nrows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            piv_cols.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        return RationalMatrix(m, ncols=self.ncols), tuple(piv_cols)
+        """Reduced row echelon form and its pivot columns.
+
+        Integer Bareiss echelon of the nonzero rows, then back-substitution
+        over Q from the last pivot row up; zero rows end up at the bottom.
+        """
+        int_rows, _ = self._int_rows()
+        live_rows = [r for r in int_rows if any(r)]
+        ech, piv_cols, _ = bareiss.echelon_int(live_rows, self.ncols)
+        red = [[0] * self.ncols for _ in range(self.nrows)]
+        for i in range(len(piv_cols) - 1, -1, -1):
+            x = ech[i]
+            for k in range(i + 1, len(piv_cols)):
+                c = x[piv_cols[k]]
+                if c:
+                    x = [a - c * b if b else a for a, b in zip(x, red[k])]
+            piv = x[piv_cols[i]]
+            red[i] = [Fraction(a, piv) for a in x]
+        return RationalMatrix(red, ncols=self.ncols), tuple(piv_cols)
 
     def inverse(self) -> "RationalMatrix":
         if self.nrows != self.ncols:

@@ -31,7 +31,6 @@ __all__ = [
     "perazzo_variables",
     "monomials",
     "monomial_count",
-    "apolar_apply",
     "apply_monomial_op",
     "coeff_vector",
     "random_binary_form",
@@ -313,35 +312,6 @@ class HomogeneousPoly:
             total += prod
         return total
 
-    def substitute(self, images: Sequence["HomogeneousPoly"]) -> "HomogeneousPoly":
-        """Plug a polynomial in for every variable.
-
-        All images must live in one ring and share one degree m; the result of
-        substituting into a degree-n form is homogeneous of degree n*m.
-        """
-        if len(images) != len(self.vars):
-            raise ValueError("need one image per variable")
-        tvars = images[0].vars
-        m = images[0].degree
-        for im in images:
-            if im.vars != tvars or im.degree != m:
-                raise ValueError("images must share one ring and one degree")
-        out = HomogeneousPoly.zero(tvars, self.degree * m)
-        pow_cache: list[dict[int, HomogeneousPoly]] = [{} for _ in images]
-
-        def power(i: int, e: int) -> HomogeneousPoly:
-            if e not in pow_cache[i]:
-                pow_cache[i][e] = images[i] ** e
-            return pow_cache[i][e]
-
-        for exps, c in self.terms.items():
-            term = HomogeneousPoly(tvars, 0, {(0,) * len(tvars): c})
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * power(i, e)
-            out = out + term
-        return out
-
     # -- rendering ---------------------------------------------------------
 
     def render(self) -> str:
@@ -410,24 +380,6 @@ def apply_monomial_op(
         else:
             terms.pop(key, None)
     return HomogeneousPoly(f.vars, f.degree - t, terms)
-
-
-def apolar_apply(op: HomogeneousPoly, f: HomogeneousPoly) -> HomogeneousPoly:
-    """Act by a differential operator: op(f) with y_i = d/dx_i positionally.
-
-    op must live over the dual of f's variable set.  The result has degree
-    deg(f) - deg(op); if deg(op) exceeds deg(f) the result is zero.
-    """
-    if op.vars != f.vars.dual():
-        raise ValueError(
-            f"operator variables {op.vars} are not dual to {f.vars}"
-        )
-    if op.degree > f.degree:
-        return HomogeneousPoly.zero(f.vars, 0)
-    result = HomogeneousPoly.zero(f.vars, f.degree - op.degree)
-    for exps, c in op.terms.items():
-        result = result + apply_monomial_op(exps, f).scale(c)
-    return result
 
 
 # -- binary-form helpers -----------------------------------------------------

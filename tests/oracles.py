@@ -19,6 +19,10 @@ def sympy_matrix(rows) -> sympy.Matrix:
     )
 
 
+def _fraction(x) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
+
+
 def sympy_rank(rows) -> int:
     return sympy_matrix(rows).rank()
 
@@ -32,6 +36,26 @@ def sympy_nullity(rows, ncols: int) -> int:
     if not rows:
         return ncols
     return ncols - sympy_matrix(rows).rank()
+
+
+def sympy_rref(rows) -> tuple[list[list[Fraction]], tuple[int, ...]]:
+    red, pivots = sympy_matrix(rows).rref()
+    return [[_fraction(x) for x in red.row(i)] for i in range(red.rows)], tuple(pivots)
+
+
+def sympy_nullspace(rows) -> list[list[Fraction]]:
+    return [[_fraction(x) for x in vec] for vec in sympy_matrix(rows).nullspace()]
+
+
+def sympy_solve(rows, rhs) -> list[Fraction] | None:
+    """The solution of rows * x = rhs with every free variable zero, or None."""
+    target = sympy.Matrix([sympy.Rational(x.numerator, x.denominator) for x in rhs])
+    try:
+        sol, params = sympy_matrix(rows).gauss_jordan_solve(target)
+    except ValueError:
+        return None
+    sol = sol.subs({p: 0 for p in params})
+    return [_fraction(x) for x in sol]
 
 
 _U, _V = sympy.symbols("U V")

@@ -1,4 +1,4 @@
-"""Exact linear algebra: random cross-checks against sympy and backend parity."""
+"""Exact linear algebra: random cross-checks against sympy."""
 
 import random
 from fractions import Fraction
@@ -10,7 +10,14 @@ from perazzo import bareiss
 from perazzo.linalg import PolyMatrix, RationalMatrix, det_poly, generic_rank, solve_linear
 from perazzo.poly import HomogeneousPoly, VariableSet, monomials, random_binary_form
 
-from oracles import sympy_det, sympy_nullity, sympy_rank
+from oracles import (
+    sympy_det,
+    sympy_nullity,
+    sympy_nullspace,
+    sympy_rank,
+    sympy_rref,
+    sympy_solve,
+)
 
 
 def random_rational_matrix(rng: random.Random, nrows: int, ncols: int) -> RationalMatrix:
@@ -123,6 +130,60 @@ def test_rref_reproduces_known_form():
     ]
 
 
+def rank_deficient_matrix(rng: random.Random, nrows: int, ncols: int) -> RationalMatrix:
+    # Random rows, then some replaced by combinations of others or zeroed.
+    rows = random_rational_matrix(rng, nrows, ncols).rows
+    for i in range(nrows):
+        roll = rng.random()
+        if roll < 0.2:
+            rows[i] = [Fraction(0)] * ncols
+        elif roll < 0.45 and i >= 2:
+            a, b = rng.sample(range(i), 2)
+            s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2)
+            rows[i] = [s * x + t * y for x, y in zip(rows[a], rows[b])]
+    return RationalMatrix(rows, ncols=ncols)
+
+
+def primitive(vec: list[Fraction]) -> list[Fraction]:
+    # The scaling kernel_basis promises: coprime integers, first nonzero positive.
+    den = 1
+    for x in vec:
+        den = den * x.denominator // gcd_int(den, x.denominator)
+    ints = [int(x * den) for x in vec]
+    g = 0
+    for x in ints:
+        g = gcd_int(g, abs(x))
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return [Fraction(x, g) for x in ints]
+
+
+def test_rref_kernel_and_solve_match_sympy():
+    rng = random.Random(111)
+    shapes = [
+        lambda: (rng.randint(5, 8), rng.randint(1, 4)),  # tall
+        lambda: (rng.randint(1, 4), rng.randint(5, 8)),  # wide
+        lambda: (1, rng.randint(1, 8)),
+        lambda: (rng.randint(1, 8), 1),
+        lambda: (rng.randint(2, 6),) * 2,
+    ]
+    deficient = inconsistent = 0
+    for trial in range(150):
+        nrows, ncols = shapes[trial % len(shapes)]()
+        m = rank_deficient_matrix(rng, nrows, ncols)
+        red, piv = m.rref()
+        assert (red.rows, piv) == sympy_rref(m.rows)
+        deficient += len(piv) < min(nrows, ncols)
+        assert m.kernel_basis() == [primitive(v) for v in sympy_nullspace(m.rows)]
+        consistent = m.apply_to_vector([Fraction(rng.randint(-5, 5)) for _ in range(ncols)])
+        arbitrary = [Fraction(rng.randint(-5, 5)) for _ in range(nrows)]
+        for rhs in (consistent, arbitrary):
+            expected = sympy_solve(m.rows, rhs)
+            inconsistent += expected is None
+            assert solve_linear(m, rhs) == expected
+    assert deficient > 20 and inconsistent > 20
+
+
 def test_inverse_round_trip_and_singular_rejection():
     rng = random.Random(105)
     built = 0
@@ -159,11 +220,10 @@ def test_constructor_rejects_ragged_rows():
         RationalMatrix([[1, 2], [3]])
 
 
-# Backend parity. The import-time dispatch in perazzo.bareiss hides whichever
-# backend lost, so drive both directly on the same seeded integer matrices.
+# The integer kernels, driven directly on seeded integer matrices.
 
 
-def test_compiled_and_pure_backends_agree():
+def test_integer_kernels_match_sympy():
     rng = random.Random(107)
     for _ in range(50):
         nrows = rng.randint(1, 7)
@@ -172,22 +232,15 @@ def test_compiled_and_pure_backends_agree():
             [rng.randint(-9, 9) if rng.random() > 0.3 else 0 for _ in range(ncols)]
             for _ in range(nrows)
         ]
-        ech_a, piv_a, sign_a = bareiss.echelon_int([list(r) for r in rows], ncols)
-        ech_b, piv_b, sign_b = _bareiss_py.echelon_int([list(r) for r in rows], ncols)
-        assert ech_a == ech_b
-        assert tuple(piv_a) == tuple(piv_b)
-        assert sign_a == sign_b
-        assert bareiss.rank_int([list(r) for r in rows], ncols) == _bareiss_py.rank_int(
-            [list(r) for r in rows], ncols
-        )
+        _, piv, _ = bareiss.echelon_int([list(r) for r in rows], ncols)
+        assert tuple(piv) == sympy_rref(rows)[1]
+        assert bareiss.rank_int([list(r) for r in rows], ncols) == sympy_rank(rows)
         if nrows == ncols:
-            det_a = bareiss.det_int([list(r) for r in rows])
-            det_b = _bareiss_py.det_int([list(r) for r in rows])
-            assert det_a == det_b == int(sympy_det(rows))
+            assert bareiss.det_int([list(r) for r in rows]) == sympy_det(rows)
 
 
 def test_backend_name_is_declared():
-    assert bareiss.BACKEND in ("cython", "python")
+    assert bareiss.BACKEND == "python"
 
 
 def test_pure_backend_known_values():
