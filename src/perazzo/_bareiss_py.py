@@ -1,10 +1,13 @@
-"""Fraction-free integer elimination kernels.
+"""Fraction-free elimination kernels over Z, or over any integral domain.
 
 Bareiss one-step elimination: every intermediate entry is a minor of the
-input, so the running division by the previous pivot is exact over Z.  The
-update must touch every row below the pivot (zero pivot-column entries
-included) or that exactness is lost.  Matrices are lists of lists of Python
-ints; callers clear denominators.
+input, so the running division by the previous pivot is exact.  The update
+must touch every row below the pivot (zero pivot-column entries included) or
+that exactness is lost.  Matrices are lists of lists of Python ints, or of
+exact-division ring elements: values with `*`, `-`, an exact `//` for which
+`x // 1` is x, and truth meaning nonzero (`linalg` passes polynomials over
+Z).  The pivot is the first nonzero entry of its column.  Callers clear
+denominators.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ def echelon_int(rows, ncols):
 
 
 def rank_int(rows, ncols):
-    """Rank of an integer matrix."""
+    """Rank over the fraction field of the entries' ring."""
     _, piv_cols, _ = echelon_int(rows, ncols)
     return len(piv_cols)
 

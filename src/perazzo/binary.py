@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
-from math import isqrt
+from math import isqrt, lcm
 
 from .poly import HomogeneousPoly, coeff_vector
 
@@ -88,13 +88,9 @@ def _divisors(n: int) -> list[int]:
 
 
 def _integerize(p: list[Fraction]) -> list[int]:
-    lcm = 1
-    for c in p:
-        lcm = lcm * c.denominator // int_gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in p]
-    g = 0
-    for c in ints:
-        g = int_gcd(g, abs(c))
+    den = lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (den // c.denominator) for c in p]
+    g = int_gcd(*ints)
     return [c // g for c in ints] if g else ints
 
 
@@ -156,13 +152,9 @@ def normalize_binary(p: HomogeneousPoly) -> HomogeneousPoly:
     _binary_check(p)
     if p.is_zero():
         return p
-    lcm = 1
-    for c in p.terms.values():
-        lcm = lcm * c.denominator // int_gcd(lcm, c.denominator)
-    g = 0
-    for c in p.terms.values():
-        g = int_gcd(g, abs(int(c * lcm)))
-    scaled = p.scale(Fraction(lcm, g))
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    g = int_gcd(*(c.numerator * (den // c.denominator) for c in p.terms.values()))
+    scaled = p.scale(Fraction(den, g))
     if scaled.terms[scaled.leading_monomial()] < 0:
         scaled = -scaled
     return scaled

@@ -580,16 +580,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json", "csv"), default="text"
     )
     shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--bound", type=int, default=9)
-    shared.add_argument("--jobs", type=int, default=None)
     shared.add_argument(
         "--max-degree",
         type=int,
         default=None,
         help="raise the desk-scale degree guard",
-    )
-    shared.add_argument(
-        "--matrix", action="store_true", help="include matrix entries (hessian)"
     )
     shared.add_argument("--file", help="read the polynomial from a UTF-8 file")
     shared.add_argument("--out", help="write the report to this file")
@@ -616,6 +611,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("expression", nargs="?", help="polynomial text")
         if name in ("ann", "hessian"):
             p.add_argument("--t", type=int, default=None, help="operator degree")
+        if name == "hessian":
+            p.add_argument(
+                "--matrix", action="store_true", help="include matrix entries"
+            )
         if name == "waring":
             p.add_argument(
                 "--secant",
@@ -639,6 +638,12 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=10,
         help="random samples per degree; 0 runs the three minimal families",
+    )
+    p.add_argument(
+        "--bound", type=int, default=9, help="coefficient bound of random forms"
+    )
+    p.add_argument(
+        "--jobs", type=int, default=None, help="worker processes (default: CPUs)"
     )
     return parser
 
@@ -664,8 +669,16 @@ def main(argv: list[str] | None = None) -> int:
     report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
     text = _render(report, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(
+                f"usage error: cannot write --out {args.out}: {reason}",
+                file=sys.stderr,
+            )
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -670,25 +670,16 @@ def classify_polynomial(
 def is_cone(f: HomogeneousPoly, max_degree: int | None = None) -> bool:
     """Whether the hypersurface f = 0 is a cone.
 
-    Exact criterion: the first partial derivatives are linearly dependent.
+    Exact criterion: the first partial derivatives are linearly dependent,
+    that is, the first catalecticant (whose columns are those partials) has
+    rank below the number of variables.
     """
     ensure_desk_scale(f, max_degree)
     if f.is_zero():
         raise ValueError("the zero polynomial defines no hypersurface")
     if f.degree < 1:
         raise ValueError("cone detection needs degree >= 1")
-    n = len(f.vars)
-    basis = monomials(n, f.degree - 1)
-    index = {e: i for i, e in enumerate(basis)}
-    rows = []
-    for k in range(n):
-        unit = tuple(1 if j == k else 0 for j in range(n))
-        partial = apply_monomial_op(unit, f)
-        row = [Fraction(0)] * len(basis)
-        for e, cval in partial.terms.items():
-            row[index[e]] = cval
-        rows.append(row)
-    return RationalMatrix(rows, ncols=len(basis)).rank() < n
+    return catalecticant(f, 1, max_degree=max_degree).rank() < len(f.vars)
 
 
 _RELATION_VARS = VariableSet(("z0", "z1", "z2"))

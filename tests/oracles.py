@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import reduce
 
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 
 def sympy_matrix(rows) -> sympy.Matrix:
@@ -56,6 +57,35 @@ def sympy_solve(rows, rhs) -> list[Fraction] | None:
         return None
     sol = sol.subs({p: 0 for p in params})
     return [_fraction(x) for x in sol]
+
+
+def _sympy_poly_matrix(rows, nvars: int) -> DomainMatrix:
+    """HomogeneousPoly entries as a DomainMatrix over QQ[z0..], read from
+    their term maps only."""
+    ring = sympy.QQ[sympy.symbols(f"z0:{nvars}")]
+    data = [
+        [
+            ring.ring.from_dict(
+                {e: sympy.QQ(c.numerator, c.denominator) for e, c in p.terms.items()}
+            )
+            for p in row
+        ]
+        for row in rows
+    ]
+    return DomainMatrix(data, (len(rows), len(rows[0])), ring)
+
+
+def sympy_poly_det(rows, nvars: int) -> dict[tuple[int, ...], Fraction]:
+    """Determinant of a square polynomial matrix, as exponents -> coefficient."""
+    det = _sympy_poly_matrix(rows, nvars).det()
+    return {e: Fraction(int(c.numerator), int(c.denominator)) for e, c in det.items()}
+
+
+def sympy_poly_rank(rows, nvars: int) -> int:
+    """Rank over the field of rational functions in the entries' variables
+    (the pivots of sympy's fraction-free reduced row echelon form)."""
+    _, _, pivots = _sympy_poly_matrix(rows, nvars).rref_den()
+    return len(pivots)
 
 
 _U, _V = sympy.symbols("U V")

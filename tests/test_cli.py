@@ -300,6 +300,31 @@ def test_unreadable_file_is_a_usage_error(capsys, tmp_path):
         assert err.count("\n") == 1
 
 
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    for path in (tmp_path / "missing" / "r.txt", tmp_path):
+        rc, out, err = run_cli(
+            capsys, ["hvector", QUADRIC, "--vars", QUADRIC_VARS, "--out", str(path)]
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("usage error: cannot write --out")
+        assert err.count("\n") == 1
+
+
+def test_options_belong_to_their_subcommands(capsys):
+    # --bound and --jobs only steer the survey, --matrix only the Hessian report.
+    for argv in (
+        ["hvector", QUADRIC, "--jobs", "7"],
+        ["hvector", QUADRIC, "--bound", "3"],
+        ["wlp", QUADRIC, "--matrix"],
+        ["survey", "--matrix"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_out_writes_report_file(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     rc, out, _ = run_cli(

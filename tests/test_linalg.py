@@ -14,6 +14,8 @@ from oracles import (
     sympy_det,
     sympy_nullity,
     sympy_nullspace,
+    sympy_poly_det,
+    sympy_poly_rank,
     sympy_rank,
     sympy_rref,
     sympy_solve,
@@ -69,8 +71,9 @@ def test_det_matches_sympy_on_random_square_matrices():
 
 
 def test_det_structured_values():
-    assert RationalMatrix.identity(4).det() == 1
-    assert RationalMatrix.zeros(3, 3).det() == 0
+    identity = RationalMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert identity.det() == 1
+    assert RationalMatrix([[0, 0, 0], [0, 0, 0], [0, 0, 0]]).det() == 0
     hilbert = RationalMatrix(
         [[Fraction(1, i + j + 1) for j in range(3)] for i in range(3)]
     )
@@ -194,7 +197,10 @@ def test_inverse_round_trip_and_singular_rejection():
             with pytest.raises(ValueError):
                 m.inverse()
             continue
-        assert m.matmul(m.inverse()) == RationalMatrix.identity(n)
+        columns = m.inverse().transpose().rows
+        assert [m.apply_to_vector(c) for c in columns] == [
+            [int(i == j) for i in range(n)] for j in range(n)
+        ]
         built += 1
     with pytest.raises(ValueError):
         RationalMatrix([[1, 2, 3]], ncols=3).inverse()
@@ -330,6 +336,66 @@ def test_generic_rank_of_rank_one_outer_product():
     assert generic_rank(outer) == 1
     full = PolyMatrix(vars, [[u * u, u * v], [u * v, u * u]])
     assert generic_rank(full) == 2
+
+
+def sparse_form(rng: random.Random, vars: VariableSet, degree: int) -> HomogeneousPoly:
+    mons = monomials(len(vars), degree)
+    chosen = rng.sample(mons, min(3, len(mons)))
+    return HomogeneousPoly(
+        vars, degree, {e: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for e in chosen}
+    )
+
+
+def test_det_poly_and_generic_rank_match_sympy():
+    # Shapes of the Lefschetz matrices: 3 to 5 variables, zero rows and
+    # columns, and products (n x k)(k x n) of linear forms by integers, whose
+    # rank is at most k < n, like the symbolic multiplication maps.
+    rng = random.Random(112)
+    deficient = with_zero_line = 0
+    for trial in range(60):
+        vars = VariableSet(tuple(f"a{i}" for i in range(rng.randint(3, 5))))
+        n = rng.randint(1, 6)
+        if trial % 2 and n > 1:
+            k = rng.randint(1, n - 1)
+            left = [[sparse_form(rng, vars, 1) for _ in range(k)] for _ in range(n)]
+            right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+            rows = [
+                [
+                    sum(
+                        (left[i][l].scale(right[l][j]) for l in range(k)),
+                        HomogeneousPoly.zero(vars, 1),
+                    )
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+        else:
+            degree = rng.randint(1, 2) if n <= 4 else 1
+            rows = [
+                [
+                    sparse_form(rng, vars, degree)
+                    if rng.random() > 0.25
+                    else HomogeneousPoly.zero(vars, degree)
+                    for _ in range(n)
+                ]
+                for _ in range(n)
+            ]
+        zero = HomogeneousPoly.zero(vars, rows[0][0].degree)
+        if rng.random() < 0.3:
+            rows[rng.randrange(n)] = [zero] * n
+        if rng.random() < 0.3:
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = zero
+        m = PolyMatrix(vars, rows)
+        rank = generic_rank(m)
+        assert rank == sympy_poly_rank(m.rows, len(vars))
+        assert det_poly(m).terms == sympy_poly_det(m.rows, len(vars))
+        deficient += rank < n
+        with_zero_line += any(
+            all(p.is_zero() for p in line) for line in (*rows, *zip(*rows))
+        )
+    assert deficient > 15 and with_zero_line > 10
 
 
 def test_poly_matrix_rejects_foreign_entries():
