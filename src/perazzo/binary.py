@@ -5,7 +5,8 @@ its plain coefficient vector (q_0, ..., q_e) lists the coefficient of
 u^{e-i} v^i at position i.  Factorization questions reduce to univariate ones
 by dehomogenizing at v = 1, which forgets exactly the power of v dividing the
 form; that power is tracked separately.  Everything stays over the rationals:
-gcds via the Euclidean algorithm, roots via the rational root theorem, no
+gcds via the Euclidean algorithm, rational roots via Sturm counts on integer
+intervals (polynomial in the degree and the coefficient bit length), no
 floating point anywhere.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
-from math import isqrt, lcm
+from math import lcm
 
 from .poly import HomogeneousPoly, coeff_vector
 
@@ -69,22 +70,11 @@ def _uderiv(p: list[Fraction]) -> list[Fraction]:
     return _trim([p[j] * j for j in range(1, len(p))])
 
 
-def _ueval(p: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _ueval(p: list, x):
+    acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    for k in range(1, isqrt(n) + 1):
-        if n % k == 0:
-            small.append(k)
-            if k != n // k:
-                large.append(n // k)
-    return small + large[::-1]
 
 
 def _integerize(p: list[Fraction]) -> list[int]:
@@ -94,8 +84,54 @@ def _integerize(p: list[Fraction]) -> list[int]:
     return [c // g for c in ints] if g else ints
 
 
+def _sign_changes(seq: list[list[int]], x: int) -> int:
+    """Sign changes of the sequence of values at x, zeros skipped."""
+    changes, last = 0, 0
+    for poly in seq:
+        value = _ueval(poly, x)
+        if value:
+            changes += last * value < 0
+            last = value
+    return changes
+
+
+def _monic_integer_roots(q: list[int], bound: int) -> list[int]:
+    """Integer roots y, |y| < bound, of a square-free monic integer polynomial.
+
+    Sturm's theorem counts the distinct real roots in (a, b] as the drop in
+    sign changes of the Sturm sequence from a to b.  Integer intervals are
+    halved while they hold a root; a root-holding interval of width one holds
+    the integer root b or none.  The number of evaluations is the number of
+    real roots times the bit length of the bound.
+    """
+    seq = [q, _integerize(_uderiv(q))]
+    while len(seq[-1]) > 1:
+        remainder = _udivmod([Fraction(c) for c in seq[-2]], seq[-1])[1]
+        seq.append([-c for c in _integerize(remainder)])
+    roots = []
+    stack = [(-bound, bound, _sign_changes(seq, -bound), _sign_changes(seq, bound))]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo == 1:
+            if not _ueval(q, hi):
+                roots.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        v_mid = _sign_changes(seq, mid)
+        stack += [(mid, hi, v_mid, v_hi), (lo, mid, v_lo, v_mid)]
+    return roots
+
+
 def _urational_roots(p: list[Fraction]):
-    """All rational roots with multiplicity, plus the rootless cofactor."""
+    """All rational roots with multiplicity, plus the rootless cofactor.
+
+    The distinct rational roots are those of the square-free part s of
+    degree k and leading coefficient c: they are y/c for the integer roots y
+    of the monic c^(k-1) s(y/c).  Each root is then divided out as often as
+    it divides.  Roots come in the order of (|numerator|, denominator, sign).
+    """
     p = _trim(list(p))
     roots: list[tuple[Fraction, int]] = []
     zero_mult = 0
@@ -105,24 +141,21 @@ def _urational_roots(p: list[Fraction]):
     if zero_mult:
         roots.append((Fraction(0), zero_mult))
     if len(p) > 1:
-        ints = _integerize(p)
-        candidates = []
-        for num in _divisors(ints[0]):
-            for den in _divisors(ints[-1]):
-                candidates.extend((Fraction(num, den), Fraction(-num, den)))
-        seen = set()
-        for cand in candidates:
-            if cand in seen:
-                continue
-            seen.add(cand)
+        square_free = _integerize(_udivmod(p, _ugcd(p, _uderiv(p)))[0])
+        c, k = square_free[-1], len(square_free) - 1
+        monic = [a * c ** (k - 1 - i) for i, a in enumerate(square_free[:-1])] + [1]
+        # Cauchy: every root x of s has |x| < 1 + max |s_i / c|, so |y| < bound.
+        bound = abs(c) + max(map(abs, square_free[:-1]))
+        found = sorted(
+            (Fraction(y, c) for y in _monic_integer_roots(monic, bound)),
+            key=lambda r: (abs(r.numerator), r.denominator, r < 0),
+        )
+        for root in found:
             mult = 0
-            while len(p) > 1 and not _ueval(p, cand):
-                p = _udivmod(p, [-cand, Fraction(1)])[0]
+            while len(p) > 1 and not _ueval(p, root):
+                p = _udivmod(p, [-root, Fraction(1)])[0]
                 mult += 1
-            if mult:
-                roots.append((cand, mult))
-            if len(p) <= 1:
-                break
+            roots.append((root, mult))
     return roots, p
 
 

@@ -5,6 +5,14 @@ S_t -> R_{d-t} sending a differential operator w to w(f).  Its rank is the
 Hilbert function value h_t of the Artinian Gorenstein quotient A_f = S/Ann(f),
 and its kernel is the degree-t graded piece of the annihilator ideal.
 
+A catalecticant is kept as its sparse images w(f).  An image is nonzero only
+when w divides a term of f, and its terms are monomials dividing terms of f,
+so rank and kernel are read from the live block: the nonzero images as
+columns, the monomials occurring in them as rows.  For a Perazzo form that
+block is the paper's [[stacked, 0], [g-block, joined]] on 4t+1 of the
+C(t+4, 4) operators.  The dense matrix over all monomials is built only when
+asked for.
+
 Also here: the binomial expansion behind Macaulay's growth bound, the derived
 upper/lower bound operators, the O-sequence test, and the Green restriction
 bound for general linear sections.
@@ -18,10 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
+from .bareiss import rank_int
 from .errors import GuardError, InternalError
-from .linalg import RationalMatrix
+from .linalg import RationalMatrix, live_int_rows
 from .poly import HomogeneousPoly, VariableSet, apply_monomial_op, monomials
 
 __all__ = [
@@ -66,19 +76,43 @@ def ensure_desk_scale(
 
 @dataclass(frozen=True)
 class CatalecticantMap:
-    """The matrix of S_t -> R_{d-t}, w -> w(f), in graded-lex monomial bases.
+    """The map S_t -> R_{d-t}, w -> w(f), kept as its sparse images.
 
-    Rows are indexed by `row_monomials` (degree d-t in R), columns by
-    `col_monomials` (degree t operators in S).
+    `images[j]` is the term map of w(f) for the j-th operator of
+    `col_monomials` (degree t in S, graded-lex); dead operators have empty
+    images.  `rank()` eliminates the live block only.  The dense `matrix`,
+    with rows indexed by `row_monomials` (degree d-t in R, graded-lex), is
+    built on first access.
     """
 
     source_degree: int
-    matrix: RationalMatrix
-    row_monomials: tuple[tuple[int, ...], ...]
+    target_degree: int
+    nvars: int
+    images: tuple[dict[tuple[int, ...], Fraction], ...]
     col_monomials: tuple[tuple[int, ...], ...]
 
+    def live_block(self) -> tuple[list[int], list[tuple[int, ...]], list[list[int]]]:
+        """(live columns, live row monomials, integer rows of the live block)."""
+        live = [j for j, image in enumerate(self.images) if image]
+        rows, data = live_int_rows([self.images[j] for j in live])
+        return live, rows, data
+
     def rank(self) -> int:
-        return self.matrix.rank()
+        live, _, data = self.live_block()
+        return rank_int(data, len(live))
+
+    @cached_property
+    def row_monomials(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(monomials(self.nvars, self.target_degree))
+
+    @cached_property
+    def matrix(self) -> RationalMatrix:
+        row_index = {e: i for i, e in enumerate(self.row_monomials)}
+        data = [[Fraction(0)] * len(self.images) for _ in self.row_monomials]
+        for j, image in enumerate(self.images):
+            for e, c in image.items():
+                data[row_index[e]][j] = c
+        return RationalMatrix(data, ncols=len(self.images))
 
 
 def catalecticant(
@@ -93,16 +127,8 @@ def catalecticant(
         raise ValueError(f"operator degree {t} outside 0..{f.degree}")
     n = len(f.vars)
     cols = monomials(n, t)
-    rows = monomials(n, f.degree - t)
-    row_index = {e: i for i, e in enumerate(rows)}
-    data = [[Fraction(0)] * len(cols) for _ in rows]
-    for j, op in enumerate(cols):
-        image = apply_monomial_op(op, f)
-        for e, c in image.terms.items():
-            data[row_index[e]][j] = c
-    return CatalecticantMap(
-        t, RationalMatrix(data, ncols=len(cols)), tuple(rows), tuple(cols)
-    )
+    images = tuple(apply_monomial_op(op, f).terms for op in cols)
+    return CatalecticantMap(t, f.degree - t, n, images, tuple(cols))
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +210,10 @@ def ann_basis(
     """Basis of the degree-t graded piece of Ann(f), as operator polynomials.
 
     Deterministic: kernel vectors of the catalecticant, content-normalized
-    with positive leading coefficient.  For t > deg f this is all of S_t.
+    with positive leading coefficient, one per non-pivot operator in
+    graded-lex order.  Dead operators (w(f) = 0) are kernel vectors by
+    themselves; the rest come from the kernel of the live block.  For
+    t > deg f this is all of S_t.
     """
     ensure_desk_scale(f, max_degree, max_vars)
     dual = f.vars.dual()
@@ -195,10 +224,19 @@ def ann_basis(
             HomogeneousPoly.monomial(dual, e) for e in monomials(len(f.vars), t)
         ]
     cat = catalecticant(f, t, max_degree, max_vars)
+    live, _, data = cat.live_block()
+    # In reduced echelon form the kernel vector of a free column has its last
+    # nonzero entry there, so sorting by that entry lists dead and live free
+    # columns together in column order, as the kernel of the dense matrix does.
+    vectors = [
+        {live[k]: c for k, c in enumerate(vec) if c}
+        for vec in RationalMatrix(data, ncols=len(live)).kernel_basis()
+    ]
+    vectors += [{j: Fraction(1)} for j, image in enumerate(cat.images) if not image]
+    vectors.sort(key=max)
     basis = []
-    for vec in cat.matrix.kernel_basis():
-        terms = {e: c for e, c in zip(cat.col_monomials, vec) if c}
-        p = HomogeneousPoly(dual, t, terms)
+    for vec in vectors:
+        p = HomogeneousPoly(dual, t, {cat.col_monomials[j]: c for j, c in vec.items()})
         lead = p.terms[p.leading_monomial()]
         if lead < 0:
             p = -p

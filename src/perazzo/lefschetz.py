@@ -24,16 +24,13 @@ Q(a_0..a_n) in the coefficients of L is computed by fraction-free elimination.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
 
 from .bareiss import echelon_int
-from .inverse_systems import ensure_desk_scale, h_vector
-from .linalg import PolyMatrix, RationalMatrix, det_poly, generic_rank
-from .poly import HomogeneousPoly, VariableSet, apply_monomial_op, monomials
+from .inverse_systems import catalecticant, ensure_desk_scale, h_vector
+from .linalg import PolyMatrix, RationalMatrix, det_poly, generic_rank, live_int_rows
+from .poly import HomogeneousPoly, VariableSet, apply_monomial_op
 
 __all__ = [
     "monomial_basis_of_A",
@@ -59,24 +56,6 @@ _WLP_COEFF_RANGE = (1, 997)
 _WLP_ATTEMPTS = 3
 
 
-def _pivots(vectors: Sequence[dict[tuple[int, ...], Fraction]]) -> list[int]:
-    """Indices of the greedy independent subfamily of sparse rational vectors.
-
-    These are the pivot columns of the integer matrix whose columns are the
-    vectors with their common denominator cleared, which keeps the pivots.
-    """
-    den = math.lcm(*(c.denominator for v in vectors for c in v.values()))
-    index: dict[tuple[int, ...], int] = {}
-    rows: list[list[int]] = []
-    for j, v in enumerate(vectors):
-        for key, c in v.items():
-            if key not in index:
-                index[key] = len(rows)
-                rows.append([0] * len(vectors))
-            rows[index[key]][j] = int(c * den)
-    return echelon_int(rows, len(vectors))[1]
-
-
 def monomial_basis_of_A(
     f: HomogeneousPoly,
     t: int,
@@ -94,10 +73,11 @@ def monomial_basis_of_A(
         raise ValueError("zero polynomial has no quotient algebra basis")
     if not 0 <= t <= f.degree:
         raise ValueError(f"degree {t} outside 0..{f.degree}")
-    order = monomials(len(f.vars), t)
+    cat = catalecticant(f, t, max_degree)
+    order, images = cat.col_monomials, cat.images
     if reverse:
-        order = order[::-1]
-    return [order[j] for j in _pivots([apply_monomial_op(op, f).terms for op in order])]
+        order, images = order[::-1], images[::-1]
+    return [order[j] for j in echelon_int(live_int_rows(images)[1], len(order))[1]]
 
 
 @dataclass(frozen=True)
@@ -190,20 +170,17 @@ def _unit_exponents(n: int) -> list[tuple[int, ...]]:
 
 
 def _row_coordinates(
-    f: HomogeneousPoly, t: int
+    f: HomogeneousPoly, t: int, max_degree: int | None = None
 ) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], dict]]:
     """Coordinates on S_t(f): positions of h_t independent rows of cat_t(f).
 
     Returns those positions (monomials of degree d-t, graded-lex first) and
     the image terms w(f) of every degree-t monomial operator w.
     """
-    images = {op: apply_monomial_op(op, f).terms for op in monomials(len(f.vars), t)}
-    rows: dict[tuple[int, ...], dict] = {}
-    for j, terms in enumerate(images.values()):
-        for e, c in terms.items():
-            rows.setdefault(e, {})[j] = c
-    live = [e for e in monomials(len(f.vars), f.degree - t) if e in rows]
-    return [live[r] for r in _pivots([rows[e] for e in live])], images
+    cat = catalecticant(f, t, max_degree)
+    _, rows, data = cat.live_block()
+    _, pivots, _ = echelon_int([list(col) for col in zip(*data)], len(rows))
+    return [rows[r] for r in pivots], dict(zip(cat.col_monomials, cat.images))
 
 
 def mult_map_matrix(
@@ -231,7 +208,7 @@ def mult_map_matrix(
         if L.degree != 1:
             raise ValueError("L must be linear")
     src = monomial_basis_of_A(f, i, max_degree=max_degree)
-    positions, images = _row_coordinates(f, i + 1)
+    positions, images = _row_coordinates(f, i + 1, max_degree)
     unit = _unit_exponents(len(f.vars))
     shifted = [[images[tuple(map(sum, zip(u, w)))] for u in unit] for w in src]
     # entries[r][c][k]: coefficient of x^positions[r] in (y_k w_c)(f)

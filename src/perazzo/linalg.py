@@ -6,6 +6,10 @@ Bareiss kernel `bareiss.echelon_int` after clearing denominators row by
 row, which changes neither rank nor row space and scales the determinant by
 a known factor.
 
+`live_int_rows` turns a family of sparse rational column vectors (term maps,
+say) into the integer rows of their nonzero support, one common denominator
+cleared, for callers that never need the dense matrix.
+
 `PolyMatrix` holds HomogeneousPoly entries over one variable set.
 `generic_rank` (the rank over the fraction field K(parameters)) and
 `det_poly` clear coefficient denominators the same way and run the same
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Hashable, Mapping, Sequence
 
 from . import bareiss
 from .errors import InternalError
@@ -29,6 +33,7 @@ __all__ = [
     "generic_rank",
     "det_poly",
     "solve_linear",
+    "live_int_rows",
 ]
 
 
@@ -193,6 +198,27 @@ def solve_linear(
     for i, p in enumerate(piv):
         x[p] = red.rows[i][m.ncols]
     return x
+
+
+def live_int_rows(
+    columns: Sequence[Mapping[Hashable, Fraction]],
+) -> tuple[list, list[list[int]]]:
+    """The nonzero rows of the matrix whose j-th column is `columns[j]`.
+
+    Each column maps row keys to nonzero Fractions.  Returns the keys that
+    occur in some column, in decreasing order (graded-lex order for exponent
+    tuples of one degree), and the integer rows at those keys, of width
+    len(columns), scaled by the columns' one common denominator; neither rank
+    nor pivot columns change.
+    """
+    den = math.lcm(*(c.denominator for col in columns for c in col.values()))
+    keys = sorted({k for col in columns for k in col}, reverse=True)
+    index = {k: i for i, k in enumerate(keys)}
+    rows = [[0] * len(columns) for _ in keys]
+    for j, col in enumerate(columns):
+        for k, c in col.items():
+            rows[index[k]][j] = c.numerator * (den // c.denominator)
+    return keys, rows
 
 
 def _stripped_rank(rows: list[list], ncols: int) -> int:

@@ -7,6 +7,7 @@ package's own linear algebra, so agreement is a genuine cross-check.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import reduce
 
@@ -210,3 +211,29 @@ def sympy_h_vector(f_expr, var_symbols) -> tuple[int, ...]:
             rows.append([img_poly.coeff_monomial(m) for m in row_mons])
         h.append(sympy.Matrix(rows).rank() if rows else 0)
     return tuple(h)
+
+
+def sympy_rational_roots(terms) -> dict[tuple[int, int], int] | None:
+    """Projective rational roots of a binary form given as {(a, b): coeff},
+    with multiplicity, from `sympy.Poly.factor_list`; None unless the form
+    splits into rational linear factors.  Roots are primitive integer pairs
+    with positive first nonzero coordinate."""
+    expr = sum(
+        sympy.Rational(c.numerator, c.denominator) * _U**a * _V**b
+        for (a, b), c in terms.items()
+    )
+    _, factors = sympy.Poly(expr, _U, _V).factor_list()
+    roots: dict[tuple[int, int], int] = {}
+    for factor, mult in factors:
+        if factor.total_degree() != 1:
+            return None
+        alpha = _fraction(sympy.Rational(factor.coeff_monomial(_U)))
+        beta = _fraction(sympy.Rational(factor.coeff_monomial(_V)))
+        den = math.lcm(alpha.denominator, beta.denominator)
+        a, b = int(-beta * den), int(alpha * den)
+        g = math.gcd(a, b)
+        a, b = a // g, b // g
+        if a < 0 or (a == 0 and b < 0):
+            a, b = -a, -b
+        roots[(a, b)] = roots.get((a, b), 0) + mult
+    return roots

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from perazzo.binary import (
     binary_divides,
@@ -16,6 +17,8 @@ from perazzo.binary import (
     rational_roots,
 )
 from perazzo.poly import HomogeneousPoly, VariableSet, random_binary_form
+
+from oracles import sympy_rational_roots
 
 SU, SV = sympy.symbols("su sv")
 
@@ -145,6 +148,45 @@ def test_rational_roots_none_when_irrational_or_complex(uv, u, v):
     assert rational_roots(u * u - v * v.scale(2)) is None
     # One rational root does not rescue an irreducible cofactor.
     assert rational_roots(u**3 - v**3) is None
+
+
+_BIG = 2**60
+_coordinate = st.one_of(st.integers(-12, 12), st.integers(-_BIG, _BIG))
+_root = st.one_of(
+    st.sampled_from([(1, 0), (0, 1)]),
+    st.tuples(_coordinate, _coordinate).filter(lambda r: r != (0, 0)),
+)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(
+    planted=st.lists(st.tuples(_root, st.integers(1, 3)), min_size=0, max_size=4),
+    scalar=st.fractions(min_value=-50, max_value=50, max_denominator=20).filter(bool),
+    # (a, b, c) with b^2 < 4ac: a u^2 + b u v + c v^2 has no rational root.
+    quadratic=st.none()
+    | st.tuples(st.integers(1, _BIG), st.integers(-3, 3), st.integers(1, _BIG)).filter(
+        lambda q: q[1] ** 2 < 4 * q[0] * q[2]
+    ),
+)
+def test_rational_roots_match_sympy_factorization(planted, scalar, quadratic):
+    uv = VariableSet(("u", "v"))
+    # The form vanishing at (a, b) is b u - a v.
+    p = HomogeneousPoly(uv, 0, {(0, 0): scalar})
+    for (a, b), mult in planted:
+        p = p * linear(uv, b, -a) ** mult
+    if quadratic is not None:
+        a, b, c = quadratic
+        p = p * HomogeneousPoly(uv, 2, {(2, 0): a, (1, 1): b, (0, 2): c})
+    expected = sympy_rational_roots(p.terms)
+    got = rational_roots(p)
+    if quadratic is not None:
+        assert expected is None
+    if expected is None:
+        assert got is None
+        return
+    assert got is not None
+    assert len({root for root, _ in got}) == len(got)
+    assert dict(got) == expected
 
 
 def test_is_squarefree(uv, u, v):

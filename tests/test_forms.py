@@ -1,9 +1,15 @@
 """Perazzo forms: block ranks, extremal h-vectors, classification, Waring rank."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import perazzo
 
 from perazzo.forms import (
     PerazzoCase,
@@ -442,6 +448,23 @@ def test_classify_families():
         assert three.normalization.second.render() == "2*u + 3*v"
         assert three.normalization.lam == Fraction(-3, 2)
         assert three.normalization.mu == Fraction(1, 2)
+
+
+def test_classify_big_coefficient_three_points_within_budget():
+    # Root finding must be polynomial in the bit length: a divisor search over
+    # the coefficients 2^31 - 1 and 2^61 - 1 never finishes.  A child process
+    # keeps a hang from stalling the suite.
+    code = (
+        "from perazzo.forms import classify, three_points_family\n"
+        "cls = classify(three_points_family(5, 2**31 - 1, 2**61 - 1))\n"
+        "print(cls.case.value, cls.divisor_pattern)"
+    )
+    src = str(Path(perazzo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=10, env=env
+    )
+    assert child.stdout.split("\n")[0] == f"{PerazzoCase.THREE_POINTS.value} (1, 1, 1)"
 
 
 def test_three_points_normalization_contract():

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from perazzo.errors import GuardError
+from perazzo.forms import h_via_ranks, random_perazzo_form, tangent_point_family
 from perazzo.inverse_systems import (
     HVector,
     ann_basis,
@@ -51,6 +53,50 @@ def test_catalecticant_endpoints(uv, u, v):
         catalecticant(f, 4)
     with pytest.raises(ValueError):
         catalecticant(f, -1)
+
+
+@pytest.mark.parametrize("d", [14, 24, 32])
+def test_h_vector_matches_block_ranks_at_high_degree(d):
+    for pf in (random_perazzo_form(d, seed=1000), tangent_point_family(d)):
+        exact = h_via_ranks(pf).exact
+        assert exact is not None
+        assert h_vector(pf.to_polynomial()) == exact
+
+
+_FRACTIONS = [Fraction(k, m) for k in (-7, -2, -1, 1, 3, 5) for m in (1, 2, 3, 11)]
+
+
+@st.composite
+def _catalecticant_inputs(draw):
+    """Non-Perazzo ternary and quinary forms, and Perazzo forms with and
+    without g, all with fractional coefficients."""
+    kind = draw(st.sampled_from(["ternary", "quinary", "perazzo", "perazzo-no-g"]))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    if kind.startswith("perazzo"):
+        d = draw(st.integers(3, 6))
+        pf = random_perazzo_form(d, seed=rng.randint(0, 10**6), with_g=kind == "perazzo")
+        f = pf.to_polynomial()
+        return HomogeneousPoly(f.vars, d, {e: c * rng.choice(_FRACTIONS) for e, c in f.terms.items()})
+    n = 3 if kind == "ternary" else 5
+    d = draw(st.integers(1, 6 if n == 3 else 4))
+    support = rng.sample(monomials(n, d), min(rng.randint(1, 8), monomial_count(n, d)))
+    vars = VariableSet(tuple(f"z{i}" for i in range(n)))
+    return HomogeneousPoly(vars, d, {e: rng.choice(_FRACTIONS) for e in support})
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(f=_catalecticant_inputs())
+def test_live_block_matches_dense_catalecticant(f):
+    dual = f.vars.dual()
+    for t in range(f.degree + 1):
+        cat = catalecticant(f, t)
+        assert cat.matrix.shape == (len(cat.row_monomials), len(cat.col_monomials))
+        assert cat.rank() == cat.matrix.rank()
+        dense = []
+        for vec in cat.matrix.kernel_basis():
+            p = HomogeneousPoly(dual, t, dict(zip(cat.col_monomials, vec)))
+            dense.append(-p if p.terms[p.leading_monomial()] < 0 else p)
+        assert [op.terms for op in ann_basis(f, t)] == [p.terms for p in dense]
 
 
 def test_h_vector_of_monomials_matches_divisor_count():
