@@ -25,7 +25,6 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 from .errors import GuardError, InternalError, ParseError
 from .forms import (
@@ -67,7 +66,6 @@ _FORM_COMMANDS = (
     "waring",
     "relation",
 )
-_BINARY_DEFAULT = ("waring", "relation")
 
 
 def _variable_set(names_text: str) -> VariableSet:
@@ -98,10 +96,6 @@ def _read_source(args) -> tuple[str, str]:
             reason = exc.strerror or exc
             raise ValueError(f"cannot read --file {args.file}: {reason}") from None
     raise ValueError("an input polynomial is required (inline or --file)")
-
-
-def _fr(x: Fraction) -> str:
-    return str(x)
 
 
 def _report(command: str, args, input_text: str | None, source: str | None,
@@ -238,8 +232,8 @@ def cmd_classify(args) -> dict:
         res["normalization"] = {
             "first": nm.first.render(),
             "second": nm.second.render(),
-            "lam": _fr(nm.lam) if nm.lam is not None else None,
-            "mu": _fr(nm.mu) if nm.mu is not None else None,
+            "lam": str(nm.lam) if nm.lam is not None else None,
+            "mu": str(nm.mu) if nm.mu is not None else None,
         }
     else:
         res["normalization"] = None
@@ -258,7 +252,7 @@ def cmd_waring(args) -> dict:
     res["border_rank"] = result.border_rank
     if result.decomposition_witness is not None:
         res["witness"] = [
-            {"form": form.render(), "coefficient": _fr(lam)}
+            {"form": form.render(), "coefficient": str(lam)}
             for form, lam in result.decomposition_witness
         ]
     else:
@@ -361,6 +355,8 @@ def cmd_survey(args) -> dict:
     samples = args.samples
     if samples < 0:
         raise ValueError("--samples must be nonnegative")
+    if args.jobs is not None and args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     limits = (args.bound, args.max_degree)
     tasks: list[tuple] = []
     for d in degrees:

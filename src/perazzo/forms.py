@@ -9,20 +9,20 @@ g-block turns the lower bound into an upper bound (exact when g = 0).
 
 The geometry behind the classification: the plane spanned by p0, p1, p2 in
 the space of degree-(d-1) binary forms meets the rational normal curve of
-pure powers in a divisor of degree at most 3, recovered here as the gcd of
-the 4x4 minors of the coefficient matrix extended by a symbolic power row.
-For forms defining reduced hypersurfaces the h-vector is minimal exactly
-when that divisor has full degree 3 and its associated cubic differential
-operator also annihilates g; the root multiplicities (3), (2,1), (1,1,1)
-distinguish an osculating plane, a tangent plane through an extra point,
-and a plane through three distinct points.  Everything is decided by exact
-gcd and rank computations over Q, so irrational intersection points never
-need to be represented.
+pure powers in a divisor of degree at most 3.  The kernel of the matrix of
+descaled coefficients is the degree-(d-1) annihilator of that plane, and
+the divisor is the gcd of its basis forms.  For forms defining reduced
+hypersurfaces the h-vector is minimal exactly when that divisor has full
+degree 3, so that the annihilator is its cubic times every form of degree
+d-4, and that cubic differential operator also annihilates g; the root
+multiplicities (3), (2,1), (1,1,1) distinguish an osculating plane, a
+tangent plane through an extra point, and a plane through three distinct
+points.  Everything is decided by exact gcd and rank computations over Q,
+so irrational intersection points never need to be represented.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -470,46 +470,28 @@ _DIVISOR_VARS = VariableSet(("s", "t"))
 def intersection_divisor(pf: PerazzoForm) -> HomogeneousPoly:
     """Divisor of power-curve points lying in the plane of p0, p1, p2.
 
-    The gcd of all 4x4 minors of the 4xd matrix whose rows are the descaled
-    coefficient vectors and one symbolic row for (s u + t v)^(d-1); a binary
-    form of degree at most 3 in (s, t), degree 3 exactly on the minimal
-    h-vector locus.
+    The operator sum n_k U^(d-1-k) V^k kills p exactly when sum n_k a_k = 0
+    for its descaled coefficients a, so the kernel of the 3xd matrix of
+    descaled coefficient vectors is the degree-(d-1) annihilator of the
+    p-plane.  The divisor is the gcd of its d-3 basis forms, read in (s, t):
+    a binary form of degree at most 3, degree 3 exactly when that
+    annihilator is the cubic D times every form of degree d-4.
     """
     d = pf.degree
     if d < 5:
         raise ValueError("intersection divisor requires d >= 5")
-    rows = (pf.a, pf.b, pf.c)
-    triple_det: dict[tuple[int, int, int], Fraction] = {}
-
-    def det3(cols: tuple[int, int, int]) -> Fraction:
-        if cols not in triple_det:
-            triple_det[cols] = RationalMatrix(
-                [[rows[i][c] for c in cols] for i in range(3)]
-            ).det()
-        return triple_det[cols]
-
-    divisor: HomogeneousPoly | None = None
-    for quad in itertools.combinations(range(d), 4):
-        terms: dict = {}
-        for pos, col in enumerate(quad):
-            rest = quad[:pos] + quad[pos + 1 :]
-            minor = det3(rest)
-            if minor:
-                sign = 1 if pos % 2 else -1
-                exps = (d - 1 - col, col)
-                val = terms.get(exps, Fraction(0)) + sign * minor
-                if val:
-                    terms[exps] = val
-                else:
-                    terms.pop(exps, None)
-        if not terms:
-            continue
-        form = HomogeneousPoly(_DIVISOR_VARS, d - 1, terms)
-        divisor = form if divisor is None else binary_gcd(divisor, form)
+    kernel = RationalMatrix([pf.a, pf.b, pf.c], ncols=d).kernel_basis()
+    forms = [
+        HomogeneousPoly(
+            _DIVISOR_VARS, d - 1, {(d - 1 - k, k): x for k, x in enumerate(n) if x}
+        )
+        for n in kernel
+    ]
+    divisor = forms[0]
+    for form in forms[1:]:
         if divisor.degree == 0:
             break
-    if divisor is None:
-        raise InternalError("all bordering minors vanished for independent p_i")
+        divisor = binary_gcd(divisor, form)
     return normalize_binary(divisor)
 
 
@@ -585,17 +567,12 @@ class PerazzoClass:
     normalization: Normalization | None
 
 
-def _uv_cubic_annihilator_dim(forms: Sequence[HomogeneousPoly]) -> int:
-    """Dimension of degree-3 pure-(U,V) operators killing every given form."""
-    ops = monomials(2, 3)
-    rows: list[list[Fraction]] = []
-    for h in forms:
-        if h.is_zero():
-            continue
-        images = [apply_monomial_op(op, h) for op in ops]
-        for mono in monomials(2, h.degree - 3):
-            rows.append([img.coefficient(mono) for img in images])
-    return len(RationalMatrix(rows, ncols=4).kernel_basis())
+def _annihilates(op: HomogeneousPoly, h: HomogeneousPoly) -> bool:
+    """Whether the binary operator op(U, V) kills h under apolarity."""
+    image = HomogeneousPoly.zero(h.vars, h.degree - op.degree)
+    for exps, coeff in op.terms.items():
+        image = image + apply_monomial_op(exps, h).scale(coeff)
+    return image.is_zero()
 
 
 def _root_form(ring: VariableSet, root: tuple[int, int]) -> HomogeneousPoly:
@@ -631,21 +608,20 @@ def classify(pf: PerazzoForm) -> PerazzoClass:
     """Position of the p-plane against the power curve, plus the g test.
 
     For forms defining reduced hypersurfaces the h-vector of the assembled
-    form is minimal exactly when the intersection divisor has degree 3 and
-    the space of degree-3 pure-(U,V) annihilators stays one-dimensional
-    after g is taken into account; a non-reduced form (one the binary
-    variables divide) can have minimal h-vector while failing the g test.
-    Divisors of degree below 3 are reported as non-minimal with the
-    observed data attached.
+    form is minimal exactly when the intersection divisor D has degree 3 and
+    the cubic operator D(U, V) also kills g.  Degree 3 means D spans the
+    cubic annihilators of p0, p1, p2 (for d >= 5 there is at most one up to
+    scale), so the g test is that single operator applied to g.  A
+    non-reduced form (one the binary variables divide) can have minimal
+    h-vector while failing the g test.  Divisors of degree below 3 are
+    reported as non-minimal with the observed data attached.
     """
     if pf.degree < 5:
         raise ValueError("classification requires d >= 5")
     divisor = intersection_divisor(pf)
     pattern = multiplicity_pattern(divisor)
-    dim_p = _uv_cubic_annihilator_dim((pf.p0, pf.p1, pf.p2))
-    dim_f = _uv_cubic_annihilator_dim((pf.p0, pf.p1, pf.p2, pf.g))
-    g_compatible = dim_p == 1 and dim_f == 1
-    if divisor.degree < 3 or not g_compatible:
+    g_compatible = divisor.degree == 3 and _annihilates(divisor, pf.g)
+    if not g_compatible:
         return PerazzoClass(
             PerazzoCase.NON_MINIMAL, divisor, pattern, g_compatible, None
         )

@@ -59,12 +59,6 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_op(self, symbol: str) -> tuple[str, str, int]:
-        tok = self.take()
-        if tok[0] != "op" or tok[1] != symbol:
-            raise ParseError(f"expected {symbol!r}, found {tok[1]!r}", tok[2])
-        return tok
-
     def parse_sign(self) -> int:
         sign = 1
         while (tok := self.peek()) and tok[0] == "op" and tok[1] in "+-":

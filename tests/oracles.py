@@ -237,3 +237,51 @@ def sympy_rational_roots(terms) -> dict[tuple[int, int], int] | None:
             a, b = -a, -b
         roots[(a, b)] = roots.get((a, b), 0) + mult
     return roots
+
+
+_S, _T = sympy.symbols("s t")
+
+
+def sympy_intersection_divisor(rows) -> dict[tuple[int, int], Fraction]:
+    """The gcd of the bordered 4x4 minors of [rows; s^(d-1-k) t^k], as
+    {(i, j): coeff} for s^i t^j; defined up to a nonzero scalar."""
+    d = len(rows[0])
+    ring = sympy.QQ[_S, _T]
+    entries = [[ring.convert(sympy.Rational(x.numerator, x.denominator)) for x in row]
+               for row in rows]
+    entries.append([ring.from_sympy(_S ** (d - 1 - k) * _T**k) for k in range(d)])
+    divisor = ring.zero
+    for quad in itertools.combinations(range(d), 4):
+        minor = DomainMatrix([[row[k] for k in quad] for row in entries], (4, 4), ring)
+        divisor = divisor.gcd(minor.det())
+        if divisor and divisor.is_ground:
+            break
+    return {mon: Fraction(int(c.numerator), int(c.denominator))
+            for mon, c in divisor.terms()}
+
+
+def sympy_cubic_annihilator_dims(ps, g) -> tuple[int, int]:
+    """Dimensions of the cubic operators in (d/du, d/dv) killing the binary
+    forms ps, then ps and g, by sympy differentiation of their term maps."""
+    u, v = sympy.symbols("u v")
+
+    def rows(forms):
+        out = []
+        for p in forms:
+            if not p.terms:
+                continue
+            poly = sympy.Poly.from_dict(
+                {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()},
+                u, v,
+            )
+            images = [poly.diff((u, a), (v, 3 - a)) for a in range(4)]
+            for i in range(p.degree - 2):
+                mono = (p.degree - 3 - i, i)
+                out.append([img.coeff_monomial(mono) for img in images])
+        return out
+
+    def nullity(forms):
+        matrix = rows(forms)
+        return 4 - (sympy.Matrix(matrix).rank() if matrix else 0)
+
+    return nullity(ps), nullity(list(ps) + [g])

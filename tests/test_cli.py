@@ -230,6 +230,8 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["hessian", QUADRIC, "--vars", QUADRIC_VARS],
         ["relation", "u^2; v^2", "--vars", "u,v"],
         ["survey", "--samples", "-1"],
+        ["survey", "--jobs", "0"],
+        ["survey", "--jobs", "-3"],
         ["survey", "--degrees", "2"],
         ["survey", "--degrees", "9..5"],
         ["survey", "--file", str(path)],

@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import perazzo
 
@@ -47,7 +48,12 @@ from perazzo.poly import (
 )
 
 from conftest import change_uv
-from oracles import sympy_border_rank, sympy_waring_rank
+from oracles import (
+    sympy_border_rank,
+    sympy_cubic_annihilator_dims,
+    sympy_intersection_divisor,
+    sympy_waring_rank,
+)
 
 
 # -- construction and conversion ----------------------------------------------
@@ -574,6 +580,57 @@ def test_minimality_matches_positive_case_on_spec_protocol():
             cls = classify(pf)
             assert cls.case is PerazzoCase.NON_MINIMAL
             assert h_vector(pf.to_polynomial()) != min_hvector(d)
+
+
+def _family_with_extra_term(build, d, g, k, c):
+    pf = build(d, g_coeffs=g)
+    k %= d + 1
+    extra = HomogeneousPoly.monomial(pf.vars, (d - k, k)).scale(c)
+    return PerazzoForm(pf.p0, pf.p1, pf.p2, pf.g + extra)
+
+
+def _plane_through_points(d, seed, with_g, points):
+    # the first `points` of u^(d-1), v^(d-1) replace random p_i
+    pf = random_perazzo_form(d, seed=seed, with_g=with_g)
+    powers = [HomogeneousPoly.monomial(pf.vars, e) for e in ((d - 1, 0), (0, d - 1))]
+    ps = powers[:points] + [pf.p0, pf.p1, pf.p2][points:]
+    return PerazzoForm(ps[0], ps[1], ps[2], pf.g)
+
+
+_unmoved_forms = st.one_of(
+    st.builds(
+        _family_with_extra_term,
+        st.sampled_from([osculating_family, tangent_point_family, three_points_family]),
+        st.integers(5, 9),
+        st.tuples(*[st.integers(-3, 3)] * 3),
+        st.integers(0, 9),
+        st.sampled_from([0, 1, -2]),
+    ),
+    st.builds(
+        _plane_through_points,
+        st.integers(5, 9),
+        st.integers(0, 10**6),
+        st.booleans(),
+        st.integers(0, 2),
+    ),
+)
+_uv_changes = st.tuples(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+).filter(lambda m: m[0][0] * m[1][1] != m[0][1] * m[1][0])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(pf=st.one_of(_unmoved_forms, st.builds(change_uv, _unmoved_forms, _uv_changes)))
+def test_classify_matches_minors_and_cubic_annihilator_oracles(pf):
+    # The divisor against the gcd of the bordered 4x4 minors (equal up to a
+    # scalar), and the g test against both cubic annihilator dimensions.
+    divisor = intersection_divisor(pf)
+    expected = sympy_intersection_divisor([pf.a, pf.b, pf.c])
+    assert divisor.terms.keys() == expected.keys()
+    assert len({divisor.terms[e] / expected[e] for e in expected}) == 1
+    dim_p, dim_f = sympy_cubic_annihilator_dims((pf.p0, pf.p1, pf.p2), pf.g)
+    assert classify(pf).g_compatible == (dim_p == 1 and dim_f == 1)
 
 
 # -- algebraic relations ---------------------------------------------------------
