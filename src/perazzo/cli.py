@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Each subcommand parses a polynomial (inline or from a file), dispatches to
-the library, and emits a report as text, JSON, or CSV.  JSON is the
-canonical machine format, carries a versioned "schema" field, and every
-polynomial it contains re-parses to the identical polynomial over the
-variable names printed next to it.  Exit codes separate failure kinds:
+A subcommand is one entry of `_COMMANDS` (help line, payload, default
+--vars) plus its branch in `_text_lines`.  `_run` does the common part once:
+it reads the polynomial (inline or from a file), builds the ring, parses,
+calls the payload, and wraps its results in the report envelope, which is
+emitted as text, JSON, or CSV.  JSON is the canonical machine format,
+carries a versioned "schema" field, and every polynomial it contains
+re-parses to the identical polynomial over the variable names printed next
+to it.  Exit codes separate failure kinds:
 0 the computation completed (verdict content never affects the code),
 2 usage, 3 parse failure, 4 desk-scale guard, 5 internal invariant breach.
 
@@ -56,16 +59,8 @@ from .poly import (
 
 SCHEMA = "perazzo-report/1"
 
-_FORM_COMMANDS = (
-    "hvector",
-    "ann",
-    "wlp",
-    "slp",
-    "hessian",
-    "classify",
-    "waring",
-    "relation",
-)
+_XUV = "x0,x1,x2,u,v"
+_UV = "u,v"
 
 
 def _variable_set(names_text: str) -> VariableSet:
@@ -83,7 +78,7 @@ def _variable_set(names_text: str) -> VariableSet:
 
 def _read_source(args) -> tuple[str, str]:
     """The polynomial text and where it came from; exactly one source."""
-    inline = getattr(args, "expression", None)
+    inline = args.expression
     if inline is not None and args.file:
         raise ValueError("give an inline expression or --file, not both")
     if inline is not None:
@@ -98,196 +93,142 @@ def _read_source(args) -> tuple[str, str]:
     raise ValueError("an input polynomial is required (inline or --file)")
 
 
-def _report(command: str, args, input_text: str | None, source: str | None,
-            vars: VariableSet | None) -> dict:
-    return {
-        "schema": SCHEMA,
-        "command": command,
-        "input": input_text,
-        "source": source,
-        "vars": list(vars.names) if vars is not None else None,
-        "seed": args.seed,
-        "results": {},
-        "timing_ms": None,
-    }
+# -- subcommand payloads: (f, ring, args) -> results ---------------------------
 
 
-# -- subcommand payloads ----------------------------------------------------
-
-
-def cmd_hvector(args) -> dict:
-    text, source = _read_source(args)
-    ring = _variable_set(args.vars or "x0,x1,x2,u,v")
-    f = parse_poly(text, ring)
+def _hvector(f: HomogeneousPoly, ring: VariableSet, args) -> dict:
     hv = h_vector(f, max_degree=args.max_degree)
-    report = _report("hvector", args, text, source, ring)
-    res = report["results"]
-    res["h"] = list(hv.entries)
-    res["socle_degree"] = f.degree
-    res["symmetric"] = hv.entries == hv.entries[::-1]
-    res["osequence"] = is_osequence(hv)
+    res = {
+        "h": list(hv.entries),
+        "socle_degree": f.degree,
+        "symmetric": hv.entries == hv.entries[::-1],
+        "osequence": is_osequence(hv),
+    }
     try:
         pf = PerazzoForm.from_polynomial(f, max_degree=args.max_degree)
     except ValueError:
-        pf = None
-    if pf is not None:
-        bounds = h_via_ranks(pf)
-        res["perazzo_bounds"] = {
-            "lower": list(bounds.lower.entries),
-            "upper": list(bounds.upper.entries),
-            "exact": list(bounds.exact.entries) if bounds.exact else None,
-        }
-    return report
+        return res
+    bounds = h_via_ranks(pf)
+    res["perazzo_bounds"] = {
+        "lower": list(bounds.lower.entries),
+        "upper": list(bounds.upper.entries),
+        "exact": list(bounds.exact.entries) if bounds.exact else None,
+    }
+    return res
 
 
-def cmd_ann(args) -> dict:
-    text, source = _read_source(args)
-    ring = _variable_set(args.vars or "x0,x1,x2,u,v")
-    f = parse_poly(text, ring)
+def _ann(f: HomogeneousPoly, ring: VariableSet, args) -> dict:
     if args.t is None:
         raise ValueError("ann requires --t (operator degree)")
     ops = ann_basis(f, args.t, max_degree=args.max_degree)
-    report = _report("ann", args, text, source, ring)
-    report["results"] = {
+    return {
         "t": args.t,
         "dimension": len(ops),
         "operator_vars": list(ring.dual().names),
         "operators": [op.render() for op in ops],
     }
-    return report
 
 
-def cmd_wlp(args) -> dict:
-    text, source = _read_source(args)
-    ring = _variable_set(args.vars or "x0,x1,x2,u,v")
-    f = parse_poly(text, ring)
+def _wlp(f: HomogeneousPoly, ring: VariableSet, args) -> dict:
     verdict = has_wlp(f, seed=args.seed, max_degree=args.max_degree)
-    report = _report("wlp", args, text, source, ring)
-    report["results"] = {
+    return {
         "holds": verdict.holds,
         "failing_degree": verdict.failing_degree,
         "certificate": verdict.certificate,
         "witness_vars": list(ring.dual().names),
         "witness": verdict.witness.render() if verdict.witness else None,
     }
-    return report
 
 
-def cmd_slp(args) -> dict:
-    text, source = _read_source(args)
-    ring = _variable_set(args.vars or "x0,x1,x2,u,v")
-    f = parse_poly(text, ring)
+def _slp(f: HomogeneousPoly, ring: VariableSet, args) -> dict:
     verdict = has_slp(f, full=True, max_degree=args.max_degree)
-    report = _report("slp", args, text, source, ring)
-    report["results"] = {
+    return {
         "holds": verdict.holds,
         "failing_degree": verdict.failing_degree,
         "certificate": verdict.certificate,
         "vanishing_orders": list(verdict.vanishing_orders),
     }
-    return report
 
 
-def cmd_hessian(args) -> dict:
-    text, source = _read_source(args)
-    ring = _variable_set(args.vars or "x0,x1,x2,u,v")
-    f = parse_poly(text, ring)
+def _hessian(f: HomogeneousPoly, ring: VariableSet, args) -> dict:
     if args.t is None:
         raise ValueError("hessian requires --t (Hessian order)")
     rep = hessian(f, args.t, max_degree=args.max_degree)
     dual = ring.dual()
-    report = _report("hessian", args, text, source, ring)
-    res = report["results"]
-    res["t"] = args.t
-    res["dimension"] = len(rep.basis)
-    res["basis_vars"] = list(dual.names)
-    res["basis"] = [
-        HomogeneousPoly.monomial(dual, e).render() for e in rep.basis
-    ]
-    res["vanishes"] = rep.vanishes
-    res["determinant"] = rep.determinant.render()
+    res = {
+        "t": args.t,
+        "dimension": len(rep.basis),
+        "basis_vars": list(dual.names),
+        "basis": [HomogeneousPoly.monomial(dual, e).render() for e in rep.basis],
+        "vanishes": rep.vanishes,
+        "determinant": rep.determinant.render(),
+    }
     if args.matrix:
         res["matrix"] = [
             [entry.render() for entry in row] for row in rep.matrix.rows
         ]
-    return report
+    return res
 
 
-def cmd_classify(args) -> dict:
-    text, source = _read_source(args)
-    ring = _variable_set(args.vars or "x0,x1,x2,u,v")
-    f = parse_poly(text, ring)
+def _classify(f: HomogeneousPoly, ring: VariableSet, args) -> dict:
     cl = classify_polynomial(f, max_degree=args.max_degree)
-    report = _report("classify", args, text, source, ring)
-    res = report["results"]
-    res["case"] = cl.case.value
-    res["divisor_vars"] = ["s", "t"]
-    res["divisor"] = cl.divisor.render() if cl.divisor is not None else None
-    res["divisor_pattern"] = (
-        list(cl.divisor_pattern) if cl.divisor_pattern is not None else None
-    )
-    res["g_compatible"] = cl.g_compatible
-    if cl.normalization is not None:
-        nm = cl.normalization
-        res["normalization"] = {
+    nm = cl.normalization
+    return {
+        "case": cl.case.value,
+        "divisor_vars": ["s", "t"],
+        "divisor": cl.divisor.render() if cl.divisor is not None else None,
+        "divisor_pattern": (
+            list(cl.divisor_pattern) if cl.divisor_pattern is not None else None
+        ),
+        "g_compatible": cl.g_compatible,
+        "normalization": None if nm is None else {
             "first": nm.first.render(),
             "second": nm.second.render(),
             "lam": str(nm.lam) if nm.lam is not None else None,
             "mu": str(nm.mu) if nm.mu is not None else None,
-        }
-    else:
-        res["normalization"] = None
-    res["cone"] = is_cone(f, max_degree=args.max_degree)
-    return report
+        },
+        "cone": is_cone(f, max_degree=args.max_degree),
+    }
 
 
-def cmd_waring(args) -> dict:
-    text, source = _read_source(args)
-    ring = _variable_set(args.vars or "u,v")
-    p = parse_poly(text, ring)
+def _waring(p: HomogeneousPoly, ring: VariableSet, args) -> dict:
     result = waring_rank(p, max_degree=args.max_degree)
-    report = _report("waring", args, text, source, ring)
-    res = report["results"]
-    res["rank"] = result.rank
-    res["border_rank"] = result.border_rank
-    if result.decomposition_witness is not None:
-        res["witness"] = [
+    witness = result.decomposition_witness
+    res = {
+        "rank": result.rank,
+        "border_rank": result.border_rank,
+        "witness": None if witness is None else [
             {"form": form.render(), "coefficient": str(lam)}
-            for form, lam in result.decomposition_witness
-        ]
-    else:
-        res["witness"] = None
+            for form, lam in witness
+        ],
+    }
     if args.secant is not None:
         res["secant_index"] = args.secant
         res["in_secant"] = secant_membership(
             p, args.secant, max_degree=args.max_degree
         )
-    return report
+    return res
 
 
-def cmd_relation(args) -> dict:
-    text, source = _read_source(args)
+def _relation(text: str, ring: VariableSet, args) -> dict:
+    """Takes the raw text: three ';'-separated binary forms, or one Perazzo form."""
     if ";" in text:
-        ring = _variable_set(args.vars or "u,v")
         pieces = [piece.strip() for piece in text.split(";")]
         if len(pieces) != 3:
             raise ValueError("relation expects exactly three ';'-separated forms")
         p0, p1, p2 = (parse_poly(piece, ring) for piece in pieces)
     else:
-        ring = _variable_set(args.vars or "x0,x1,x2,u,v")
         f = parse_poly(text, ring)
         pf = PerazzoForm.from_polynomial(f, max_degree=args.max_degree)
         p0, p1, p2 = pf.p0, pf.p1, pf.p2
     rel = algebraic_relation(
         p0, p1, p2, max_relation_degree=args.max_relation_degree
     )
-    report = _report("relation", args, text, source, ring)
-    report["results"] = {
+    return {
         "relation_vars": ["z0", "z1", "z2"],
         "degree": rel.degree if rel is not None else None,
         "relation": rel.render() if rel is not None else None,
     }
-    return report
 
 
 # -- survey -------------------------------------------------------------------
@@ -348,8 +289,8 @@ def _parse_degree_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def cmd_survey(args) -> dict:
-    if args.file or getattr(args, "expression", None):
+def _survey(f: None, ring: None, args) -> dict:
+    if args.file:
         raise ValueError("survey generates its own inputs; drop the polynomial")
     degrees = _parse_degree_range(args.degrees)
     samples = args.samples
@@ -391,8 +332,7 @@ def cmd_survey(args) -> dict:
             "slp_true": sum(1 for r in of_degree if r["slp"]),
             "bound_violations": bad,
         }
-    report = _report("survey", args, None, None, None)
-    report["results"] = {
+    return {
         "degrees": degrees,
         "samples": samples,
         "bound": args.bound,
@@ -400,7 +340,6 @@ def cmd_survey(args) -> dict:
         "summary": summary,
         "bound_violations": violations,
     }
-    return report
 
 
 # -- rendering ----------------------------------------------------------------
@@ -551,17 +490,48 @@ def _render(report: dict, fmt: str) -> str:
 # -- entry point ----------------------------------------------------------------
 
 
-_DISPATCH = {
-    "hvector": cmd_hvector,
-    "ann": cmd_ann,
-    "wlp": cmd_wlp,
-    "slp": cmd_slp,
-    "hessian": cmd_hessian,
-    "classify": cmd_classify,
-    "waring": cmd_waring,
-    "relation": cmd_relation,
-    "survey": cmd_survey,
+_COMMANDS = {
+    # name: (help, payload, default --vars; None for a command without input)
+    "hvector": (
+        "h-vector of S/Ann(f), with block-rank bounds for Perazzo forms",
+        _hvector, _XUV,
+    ),
+    "ann": ("basis of the degree-t piece of the annihilator", _ann, _XUV),
+    "wlp": ("weak Lefschetz property verdict", _wlp, _XUV),
+    "slp": ("strong Lefschetz property verdict via higher Hessians", _slp, _XUV),
+    "hessian": ("t-th Hessian determinant", _hessian, _XUV),
+    "classify": (
+        "Perazzo classification: divisor, case, g-compatibility", _classify, _XUV,
+    ),
+    "waring": ("Waring rank and border rank of a binary form", _waring, _UV),
+    "relation": ("algebraic relation among three binary forms", _relation, _UV),
+    "survey": (
+        "sweep degrees and seeds; tabulate h-vectors and verdicts", _survey, None,
+    ),
 }
+
+
+def _run(args) -> dict:
+    """Read the input, build the ring, parse, and wrap the payload's results."""
+    name = args.command
+    _, payload, default_vars = _COMMANDS[name]
+    text = source = ring = f = None
+    if default_vars is not None:
+        text, source = _read_source(args)
+        if name == "relation" and ";" not in text:
+            default_vars = _XUV  # one Perazzo form, not three binary forms
+        ring = _variable_set(args.vars or default_vars)
+        f = text if name == "relation" else parse_poly(text, ring)
+    return {
+        "schema": SCHEMA,
+        "command": name,
+        "input": text,
+        "source": source,
+        "vars": list(ring.names) if ring is not None else None,
+        "seed": args.seed,
+        "results": payload(f, ring, args),
+        "timing_ms": None,
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -591,20 +561,10 @@ def build_parser() -> argparse.ArgumentParser:
         "properties, higher Hessians, and the Perazzo 3-fold toolbox.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "hvector": "h-vector of S/Ann(f), with block-rank bounds for Perazzo forms",
-        "ann": "basis of the degree-t piece of the annihilator",
-        "wlp": "weak Lefschetz property verdict",
-        "slp": "strong Lefschetz property verdict via higher Hessians",
-        "hessian": "t-th Hessian determinant",
-        "classify": "Perazzo classification: divisor, case, g-compatibility",
-        "waring": "Waring rank and border rank of a binary form",
-        "relation": "algebraic relation among three binary forms",
-        "survey": "sweep degrees and seeds; tabulate h-vectors and verdicts",
-    }
-    for name in _FORM_COMMANDS:
-        p = sub.add_parser(name, parents=[shared], help=helps[name])
-        p.add_argument("expression", nargs="?", help="polynomial text")
+    for name, (help_text, _, default_vars) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[shared], help=help_text)
+        if default_vars is not None:
+            p.add_argument("expression", nargs="?", help="polynomial text")
         if name in ("ann", "hessian"):
             p.add_argument("--t", type=int, default=None, help="operator degree")
         if name == "hessian":
@@ -625,22 +585,26 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="cap on the relation degree searched",
             )
-    p = sub.add_parser("survey", parents=[shared], help=helps["survey"])
-    p.add_argument(
-        "--degrees", default="4..8", help="degree or range, e.g. 5 or 4..8"
-    )
-    p.add_argument(
-        "--samples",
-        type=int,
-        default=10,
-        help="random samples per degree; 0 runs the three minimal families",
-    )
-    p.add_argument(
-        "--bound", type=int, default=9, help="coefficient bound of random forms"
-    )
-    p.add_argument(
-        "--jobs", type=int, default=None, help="worker processes (default: CPUs)"
-    )
+        if name == "survey":
+            p.add_argument(
+                "--degrees", default="4..8", help="degree or range, e.g. 5 or 4..8"
+            )
+            p.add_argument(
+                "--samples",
+                type=int,
+                default=10,
+                help="random samples per degree; "
+                "0 runs the three minimal families",
+            )
+            p.add_argument(
+                "--bound", type=int, default=9, help="coefficient bound of random forms"
+            )
+            p.add_argument(
+                "--jobs",
+                type=int,
+                default=None,
+                help="worker processes (default: CPUs)",
+            )
     return parser
 
 
@@ -649,7 +613,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        report = _DISPATCH[args.command](args)
+        report = _run(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3

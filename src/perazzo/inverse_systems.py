@@ -213,12 +213,18 @@ def ann_basis(
     with positive leading coefficient, one per non-pivot operator in
     graded-lex order.  Dead operators (w(f) = 0) are kernel vectors by
     themselves; the rest come from the kernel of the live block.  For
-    t > deg f this is all of S_t.
+    t > deg f this is all of S_t, so t answers to the same degree guard as f.
     """
     ensure_desk_scale(f, max_degree, max_vars)
     dual = f.vars.dual()
     if t < 0:
         raise ValueError("operator degree must be nonnegative")
+    limit_d = DEFAULT_MAX_DEGREE if max_degree is None else max_degree
+    if t > limit_d:
+        raise GuardError(
+            f"operator degree {t} exceeds the guard ({limit_d}); "
+            "raise max_degree to proceed"
+        )
     if t > f.degree:
         return [
             HomogeneousPoly.monomial(dual, e) for e in monomials(len(f.vars), t)

@@ -3,9 +3,13 @@
 import csv
 import io
 import json
+import os
+import shlex
 import shutil
 import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -256,6 +260,14 @@ def test_guard_error_exits_4_and_max_degree_lifts_it(capsys):
         capsys, ["hvector", "u^33", "--vars", "u,v", "--max-degree", "40"]
     )
     assert report["results"]["h"] == [1] * 34
+    # ann's operator degree answers to the same guard as the form.
+    cubic = "u^3*x0 + v^3*x1 + u*v^2*x2"
+    rc, out, err = run_cli(capsys, ["ann", cubic, "--t", "60"])
+    assert (rc, out) == (4, "")
+    assert err.startswith("guard: operator degree 60 exceeds the guard (32)")
+    report = run_json(capsys, ["ann", "u^3*v", "--vars", "u,v", "--t", "40",
+                               "--max-degree", "40"])
+    assert report["results"]["dimension"] == 41
 
 
 def test_survey_passes_max_degree_to_every_sample(capsys):
@@ -414,18 +426,55 @@ def test_survey_csv_shape(capsys):
     assert rows[1][8] == rows[1][9] == "True"
 
 
+# -- README examples -------------------------------------------------------------------------
+
+
+def _readme_examples() -> list[tuple[str, list[str]]]:
+    """The `$ perazzo ...` commands in README with the report lines shown under them."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples, shown = [], None
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("$ perazzo "):
+            shown = []
+            examples.append((line[2:], shown))
+        elif shown is not None and line.strip() and not line.startswith("```"):
+            shown.append(line)
+        else:
+            shown = None  # a blank line or the fence ends the example
+    return examples
+
+
+def test_readme_examples_match_the_report_body(capsys):
+    examples = _readme_examples()
+    assert len(examples) == 3
+    for command, shown in examples:
+        rc, out, _ = run_cli(capsys, shlex.split(command)[1:])
+        assert rc == 0, command
+        lines = out.splitlines()
+        seed = next(i for i, line in enumerate(lines) if line.startswith("seed:"))
+        assert lines[-1].startswith("timing_ms:")
+        assert lines[seed + 1:-1] == shown, command
+
+
 # -- console script ---------------------------------------------------------------------------
 
 
 def test_console_script_runs():
+    # The installed script when there is one, else the module over this src tree.
     exe = shutil.which("perazzo")
+    env = dict(os.environ)
     if exe is None:
-        pytest.skip("console script not on PATH")
+        command = [sys.executable, "-m", "perazzo.cli"]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    else:
+        command = [exe]
     proc = subprocess.run(
-        [exe, "hvector", QUADRIC, "--vars", QUADRIC_VARS, "--format", "json"],
+        command + ["hvector", QUADRIC, "--vars", QUADRIC_VARS, "--format", "json"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)

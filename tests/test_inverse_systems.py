@@ -234,6 +234,16 @@ def test_guard_refuses_oversized_inputs():
     assert h_vector(wide, max_vars=9)[1] == 9
 
 
+def test_ann_basis_guards_the_operator_degree(uv, u, v):
+    # Above deg f the basis is all of S_t, C(t+n-1, n-1) operators, so t past
+    # the degree guard is refused like a form of that degree.
+    f = u ** 3 * v
+    with pytest.raises(GuardError, match="operator degree 33"):
+        ann_basis(f, 33)
+    assert len(ann_basis(f, 32)) == monomial_count(2, 32)
+    assert len(ann_basis(f, 33, max_degree=40)) == monomial_count(2, 33)
+
+
 def test_guard_message_names_the_limit():
     vars = VariableSet(("u", "v"))
     tall = HomogeneousPoly.monomial(vars, (40, 0))

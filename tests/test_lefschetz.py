@@ -245,3 +245,32 @@ def test_wlp_middle_stage_matches_all_stage_scan(pf, seed):
     if verdict.witness is not None:
         stages = check_lefschetz_element(f, verdict.witness)
         assert all(got == target for got, target in stages)
+
+
+_odd_degree_forms = st.one_of(
+    st.builds(
+        lambda d, seed, with_g: random_perazzo_form(d, seed=seed, with_g=with_g),
+        st.sampled_from([5, 7]),
+        st.integers(0, 10**6),
+        st.booleans(),
+    ),
+    st.builds(
+        lambda build, d, g: build(d, g_coeffs=g),
+        st.sampled_from([osculating_family, tangent_point_family, three_points_family]),
+        st.sampled_from([5, 7]),
+        st.tuples(*[st.integers(-3, 3)] * 3),
+    ),
+)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(pf=_odd_degree_forms)
+def test_wlp_at_odd_degree_is_the_middle_hessian(pf):
+    # For odd d and m = (d - 1) / 2, h_m = h_{m+1}, so by the Gorenstein
+    # reduction WLP is the middle map A_m -> A_{m+1} being bijective; by the
+    # mixed-Hessian pairing that map is the order-m Hessian of f.
+    f = pf.to_polynomial()
+    m = (f.degree - 1) // 2
+    h = h_vector(f)
+    assert h[m] == h[m + 1]
+    assert has_wlp(f).holds == (not hessian(f, m).vanishes)
