@@ -279,13 +279,15 @@ def _survey_sample(task: tuple) -> dict:
 
 
 def _parse_degree_range(text: str) -> list[int]:
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
+    message = f"bad degree range {text!r} (need 3 <= lo <= hi)"
+    lo_text, dots, hi_text = text.partition("..")
+    try:
+        lo = int(lo_text)
+        hi = int(hi_text) if dots else lo
+    except ValueError:
+        raise ValueError(message) from None
     if lo < 3 or hi < lo:
-        raise ValueError(f"bad degree range {text!r} (need 3 <= lo <= hi)")
+        raise ValueError(message)
     return list(range(lo, hi + 1))
 
 

@@ -192,7 +192,16 @@ def h_vector(
     half = [
         catalecticant(f, t, max_degree, max_vars).rank() for t in range(d // 2 + 1)
     ]
-    entries = half + [half[d - t] for t in range(d // 2 + 1, d + 1)]
+    return h_from_ranks(d, half)
+
+
+def h_from_ranks(d: int, half: Sequence[int]) -> HVector:
+    """The h-vector of socle degree d from the catalecticant ranks h_0..h_{d//2}.
+
+    The ranks are mirrored, and the result is checked to be symmetric and an
+    O-sequence; a failure is an internal error, never a property of f.
+    """
+    entries = list(half) + [half[d - t] for t in range(d // 2 + 1, d + 1)]
     hv = HVector(tuple(entries))
     if not hv.is_symmetric():
         raise InternalError(f"h-vector {hv} is not symmetric")

@@ -20,15 +20,31 @@ Prop. 2.1) and one stage decides.  "General" is decided exactly: random
 rational forms are tried first and one reaching the target rank certifies
 the property; otherwise the generic rank of the map over the function field
 Q(a_0..a_n) in the coefficients of L is computed by fraction-free elimination.
+
+A stage is assembled in two steps.  Its pencil, built from cat_i and
+cat_{i+1}, holds the coefficient of each row position in (y_k w_c)(f) for
+every basis operator w_c and every variable y_k; evaluating the pencil at
+the coefficients of L gives the rational matrix, and at symbols a_0..a_n the
+matrix of linear forms.  One verdict (`has_wlp`, `check_lefschetz_element`)
+builds each catalecticant and each stage pencil once and reads h, every
+random L and the symbolic rank from them.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from .bareiss import echelon_int
-from .inverse_systems import catalecticant, ensure_desk_scale, h_vector
+from .inverse_systems import (
+    CatalecticantMap,
+    HVector,
+    catalecticant,
+    ensure_desk_scale,
+    h_from_ranks,
+)
 from .linalg import PolyMatrix, RationalMatrix, det_poly, generic_rank, live_int_rows
 from .poly import HomogeneousPoly, VariableSet, apply_monomial_op
 
@@ -73,7 +89,14 @@ def monomial_basis_of_A(
         raise ValueError("zero polynomial has no quotient algebra basis")
     if not 0 <= t <= f.degree:
         raise ValueError(f"degree {t} outside 0..{f.degree}")
-    cat = catalecticant(f, t, max_degree)
+    return _greedy_basis(catalecticant(f, t, max_degree), reverse)
+
+
+def _greedy_basis(
+    cat: CatalecticantMap, reverse: bool = False
+) -> list[tuple[int, ...]]:
+    """The operators of `cat` whose images are pivot columns, graded-lex first
+    (last when reversed)."""
     order, images = cat.col_monomials, cat.images
     if reverse:
         order, images = order[::-1], images[::-1]
@@ -169,18 +192,79 @@ def _unit_exponents(n: int) -> list[tuple[int, ...]]:
     return [tuple(1 if k == m else 0 for m in range(n)) for k in range(n)]
 
 
-def _row_coordinates(
-    f: HomogeneousPoly, t: int, max_degree: int | None = None
-) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], dict]]:
-    """Coordinates on S_t(f): positions of h_t independent rows of cat_t(f).
-
-    Returns those positions (monomials of degree d-t, graded-lex first) and
-    the image terms w(f) of every degree-t monomial operator w.
-    """
-    cat = catalecticant(f, t, max_degree)
+def _row_coordinates(cat: CatalecticantMap) -> list[tuple[int, ...]]:
+    """Coordinates on S_t(f): positions of h_t independent rows of cat_t(f),
+    as monomials of degree d-t, graded-lex first."""
     _, rows, data = cat.live_block()
     _, pivots, _ = echelon_int([list(col) for col in zip(*data)], len(rows))
-    return [rows[r] for r in pivots], dict(zip(cat.col_monomials, cat.images))
+    return [rows[r] for r in pivots]
+
+
+@dataclass(frozen=True)
+class _StagePencil:
+    """x L : [A]_i -> [A]_{i+1} for L = sum a_k y_k, before a is chosen.
+
+    `entries[r][c][k]` is the coefficient of the r-th row position of
+    cat_{i+1} in (y_k w_c)(f), for the c-th greedy basis operator w_c of
+    [A]_i; the matrix of x L is sum_k a_k entries[.][.][k].
+    """
+
+    nvars: int
+    ncols: int
+    entries: list[list[list]]
+
+
+def _stage_pencil(cat_i: CatalecticantMap, cat_next: CatalecticantMap) -> _StagePencil:
+    images = dict(zip(cat_next.col_monomials, cat_next.images))
+    unit = _unit_exponents(cat_i.nvars)
+    src = _greedy_basis(cat_i)
+    shifted = [[images[tuple(map(sum, zip(u, w)))] for u in unit] for w in src]
+    entries = [
+        [[im.get(pos, 0) for im in col] for col in shifted]
+        for pos in _row_coordinates(cat_next)
+    ]
+    return _StagePencil(cat_i.nvars, len(src), entries)
+
+
+def _evaluate(
+    pencil: _StagePencil, L: HomogeneousPoly | None
+) -> RationalMatrix | PolyMatrix:
+    """The stage matrix at a concrete L, or over symbols a_0..a_n for L=None."""
+    unit = _unit_exponents(pencil.nvars)
+    if L is not None:
+        a = [L.coefficient(u) for u in unit]
+        rows = [
+            [sum(x * y for x, y in zip(a, e)) for e in row] for row in pencil.entries
+        ]
+        return RationalMatrix(rows, ncols=pencil.ncols)
+    params = _parameter_variables(pencil.nvars)
+    rows = [
+        [HomogeneousPoly(params, 1, dict(zip(unit, e))) for e in row]
+        for row in pencil.entries
+    ]
+    return PolyMatrix(params, rows, ncols=pencil.ncols)
+
+
+def _check_operator(f: HomogeneousPoly, L: HomogeneousPoly) -> None:
+    if L.vars != f.vars.dual():
+        raise ValueError("L must be an operator over the dual variables")
+    if L.degree != 1:
+        raise ValueError("L must be linear")
+
+
+def _verdict_data(
+    f: HomogeneousPoly, max_degree: int | None
+) -> tuple[HVector, Callable[[int], _StagePencil]]:
+    """h and a stage-pencil builder for one verdict on f.
+
+    Each catalecticant and each stage pencil is built at most once; the memo
+    lives as long as the verdict that asked for it.
+    """
+    if f.is_zero():
+        raise ValueError("h-vector of the zero polynomial is undefined")
+    cat = functools.cache(lambda t: catalecticant(f, t, max_degree))
+    h = h_from_ranks(f.degree, [cat(t).rank() for t in range(f.degree // 2 + 1)])
+    return h, functools.cache(lambda i: _stage_pencil(cat(i), cat(i + 1)))
 
 
 def mult_map_matrix(
@@ -197,31 +281,21 @@ def mult_map_matrix(
     injective, so the matrix has the rank of the map.  With a concrete linear
     operator L the entries are rational; with L=None the map is taken with
     symbolic coefficients a_0..a_n and the entry at position x^b is the linear
-    form sum_k a_k * coefficient of x^b in (y_k w_c)(f).
+    form sum_k a_k * coefficient of x^b in (y_k w_c)(f).  Each call builds
+    cat_i, cat_{i+1} and the stage pencil afresh; `has_wlp` and
+    `check_lefschetz_element` build them once per verdict instead.
     """
     ensure_desk_scale(f, max_degree)
     if not 0 <= i < f.degree:
         raise ValueError(f"degree {i} outside 0..{f.degree - 1}")
     if L is not None:
-        if L.vars != f.vars.dual():
-            raise ValueError("L must be an operator over the dual variables")
-        if L.degree != 1:
-            raise ValueError("L must be linear")
-    src = monomial_basis_of_A(f, i, max_degree=max_degree)
-    positions, images = _row_coordinates(f, i + 1, max_degree)
-    unit = _unit_exponents(len(f.vars))
-    shifted = [[images[tuple(map(sum, zip(u, w)))] for u in unit] for w in src]
-    # entries[r][c][k]: coefficient of x^positions[r] in (y_k w_c)(f)
-    entries = [[[im.get(pos, 0) for im in col] for col in shifted] for pos in positions]
-    if L is not None:
-        a = [L.coefficient(u) for u in unit]
-        rows = [[sum(x * y for x, y in zip(a, e)) for e in row] for row in entries]
-        return RationalMatrix(rows, ncols=len(src))
-    params = _parameter_variables(len(f.vars))
-    rows = [
-        [HomogeneousPoly(params, 1, dict(zip(unit, e))) for e in row] for row in entries
-    ]
-    return PolyMatrix(params, rows, ncols=len(src))
+        _check_operator(f, L)
+    if f.is_zero():
+        raise ValueError("zero polynomial has no quotient algebra basis")
+    pencil = _stage_pencil(
+        catalecticant(f, i, max_degree), catalecticant(f, i + 1, max_degree)
+    )
+    return _evaluate(pencil, L)
 
 
 def check_lefschetz_element(
@@ -231,12 +305,11 @@ def check_lefschetz_element(
 ) -> list[tuple[int, int]]:
     """Per-stage (achieved rank, maximal possible rank) for this concrete L."""
     ensure_desk_scale(f, max_degree)
-    h = h_vector(f, max_degree)
-    out = []
-    for i in range(f.degree):
-        m = mult_map_matrix(f, i, L, max_degree=max_degree)
-        out.append((m.rank(), min(h[i], h[i + 1])))
-    return out
+    _check_operator(f, L)
+    h, pencil = _verdict_data(f, max_degree)
+    return [
+        (_evaluate(pencil(i), L).rank(), min(h[i], h[i + 1])) for i in range(f.degree)
+    ]
 
 
 def has_wlp(
@@ -258,9 +331,13 @@ def has_wlp(
     i and d-1-i are dual, so that stage is at most m: stages below m are
     scanned with the first random form, symbolically only where it falls
     short, and stage m is reported when all of them pass.
+
+    h comes from the same catalecticants as the stage matrices: each
+    catalecticant and each stage pencil is built once per call, and every
+    random L and the symbolic rank evaluate that one pencil.
     """
     ensure_desk_scale(f, max_degree)
-    h = h_vector(f, max_degree)
+    h, pencil = _verdict_data(f, max_degree)
     d = f.degree
     if d == 0:
         return LefschetzVerdict("WLP", True, None, CERT_GENERIC_RANK_MAXIMAL)
@@ -275,7 +352,7 @@ def has_wlp(
 
     def reaches(i: int, L: HomogeneousPoly | None) -> bool:
         target = min(h[i], h[i + 1])
-        matrix = mult_map_matrix(f, i, L, max_degree=max_degree)
+        matrix = _evaluate(pencil(i), L)
         return (matrix.rank() if L is not None else generic_rank(matrix)) == target
 
     if h[m] <= h[m + 1]:

@@ -238,12 +238,16 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["survey", "--jobs", "-3"],
         ["survey", "--degrees", "2"],
         ["survey", "--degrees", "9..5"],
+        ["survey", "--degrees", "x"],
+        ["survey", "--degrees", "5..x"],
         ["survey", "--file", str(path)],
     ]
     for argv in cases:
         rc, _, err = run_cli(capsys, argv)
         assert rc == 2, argv
         assert "usage error:" in err
+        if "--degrees" in argv:
+            assert f"bad degree range {argv[-1]!r} (need 3 <= lo <= hi)" in err
 
 
 def test_parse_error_exits_3(capsys):

@@ -1,6 +1,7 @@
 """Higher Hessians and the weak and strong Lefschetz properties."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from perazzo.lefschetz import (
     monomial_basis_of_A,
     mult_map_matrix,
 )
+from perazzo import inverse_systems, lefschetz
 from perazzo.inverse_systems import h_vector
 from perazzo.linalg import PolyMatrix, generic_rank
 from perazzo.parsing import parse_poly
@@ -274,3 +276,35 @@ def test_wlp_at_odd_degree_is_the_middle_hessian(pf):
     h = h_vector(f)
     assert h[m] == h[m + 1]
     assert has_wlp(f).holds == (not hessian(f, m).vanishes)
+
+
+@pytest.mark.parametrize(
+    "pf, holds",
+    [(random_perazzo_form(7, seed=1000), False), (tangent_point_family(6), True)],
+    ids=["maximal-h-d7", "tangent-point-d6"],
+)
+def test_has_wlp_builds_each_catalecticant_once(monkeypatch, pf, holds):
+    # One verdict reads h, every random L and the symbolic rank from the same
+    # catalecticants; h_vector's own ones are counted too.
+    f = pf.to_polynomial()
+    built = Counter()
+    original = lefschetz.catalecticant
+
+    def counting(g, t, *args, **kwargs):
+        built[t] += 1
+        return original(g, t, *args, **kwargs)
+
+    monkeypatch.setattr(lefschetz, "catalecticant", counting)
+    monkeypatch.setattr(inverse_systems, "catalecticant", counting)
+    verdict = has_wlp(f)
+    monkeypatch.undo()
+    assert built and max(built.values()) == 1, dict(built)
+    assert verdict.holds is holds
+    h = h_vector(f)
+    failing = [
+        i
+        for i in range(f.degree)
+        if generic_rank(mult_map_matrix(f, i, None)) < min(h[i], h[i + 1])
+    ]
+    assert verdict.holds == (not failing)
+    assert verdict.failing_degree == (failing[0] + 1 if failing else None)
