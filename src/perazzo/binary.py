@@ -2,12 +2,13 @@
 
 A binary form of degree e lives in a two-variable ring as a HomogeneousPoly;
 its plain coefficient vector (q_0, ..., q_e) lists the coefficient of
-u^{e-i} v^i at position i.  Factorization questions reduce to univariate ones
-by dehomogenizing at v = 1, which forgets exactly the power of v dividing the
-form; that power is tracked separately.  Everything stays over the rationals:
-gcds via the Euclidean algorithm, rational roots via Sturm counts on integer
-intervals (polynomial in the degree and the coefficient bit length), no
-floating point anywhere.
+u^{e-i} v^i at position i.  Every factorization question goes through one
+dehomogenization, p -> (p(x, 1), power of v dividing p), and its inverse;
+gcds, divisibility, linear factors, projective roots and the Waring witness
+points in `forms` all read the same split.  Everything stays over the
+rationals: gcds via the Euclidean algorithm, rational roots via Sturm counts
+on integer intervals (polynomial in the degree and the coefficient bit
+length), no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 from math import lcm
 
-from .poly import HomogeneousPoly, coeff_vector
+from .poly import HomogeneousPoly, apply_monomial_op, coeff_vector
 
 __all__ = [
     "normalize_binary",
@@ -167,11 +168,10 @@ def _binary_check(p: HomogeneousPoly) -> None:
         raise ValueError("expected a binary form")
 
 
-def _vvaluation(coeffs) -> int:
-    for i, c in enumerate(coeffs):
-        if c:
-            return i
-    return len(coeffs)
+def _to_univariate(p: HomogeneousPoly) -> tuple[list[Fraction], int]:
+    """Ascending coefficients of p(x, 1) and the power of v dividing p."""
+    uni = _trim(list(reversed(coeff_vector(p, descale=False))))
+    return uni, p.degree + 1 - len(uni)
 
 
 def _from_univariate(ring, uni: list[Fraction], v_power: int) -> HomogeneousPoly:
@@ -198,16 +198,7 @@ def binary_partials(p: HomogeneousPoly):
     _binary_check(p)
     if p.degree == 0:
         raise ValueError("cannot differentiate a degree-0 form meaningfully")
-    ring = p.vars
-    pu: dict = {}
-    pv: dict = {}
-    for (a, b), c in p.terms.items():
-        if a:
-            pu[(a - 1, b)] = pu.get((a - 1, b), Fraction(0)) + a * c
-        if b:
-            pv[(a, b - 1)] = pv.get((a, b - 1), Fraction(0)) + b * c
-    d = p.degree - 1
-    return HomogeneousPoly(ring, d, pu), HomogeneousPoly(ring, d, pv)
+    return apply_monomial_op((1, 0), p), apply_monomial_op((0, 1), p)
 
 
 def binary_gcd(p: HomogeneousPoly, q: HomogeneousPoly) -> HomogeneousPoly:
@@ -220,11 +211,7 @@ def binary_gcd(p: HomogeneousPoly, q: HomogeneousPoly) -> HomogeneousPoly:
         return normalize_binary(q)
     if q.is_zero():
         return normalize_binary(p)
-    cp = coeff_vector(p, descale=False)
-    cq = coeff_vector(q, descale=False)
-    sp, sq = _vvaluation(cp), _vvaluation(cq)
-    up = _trim(list(reversed(cp)))
-    uq = _trim(list(reversed(cq)))
+    (up, sp), (uq, sq) = _to_univariate(p), _to_univariate(q)
     g = _ugcd(up, uq)
     return normalize_binary(_from_univariate(p.vars, g, min(sp, sq)))
 
@@ -239,13 +226,8 @@ def binary_divides(q: HomogeneousPoly, p: HomogeneousPoly) -> bool:
         return True
     if q.degree > p.degree:
         return False
-    cp = coeff_vector(p, descale=False)
-    cq = coeff_vector(q, descale=False)
-    if _vvaluation(cq) > _vvaluation(cp):
-        return False
-    up = _trim(list(reversed(cp)))
-    uq = _trim(list(reversed(cq)))
-    return not _udivmod(up, uq)[1]
+    (up, sp), (uq, sq) = _to_univariate(p), _to_univariate(q)
+    return sq <= sp and not _udivmod(up, uq)[1]
 
 
 def is_squarefree(p: HomogeneousPoly) -> bool:
@@ -259,6 +241,16 @@ def is_squarefree(p: HomogeneousPoly) -> bool:
     return binary_gcd(pu, pv).degree == 0
 
 
+def _split(p: HomogeneousPoly):
+    """v-power of p, rational roots of p(x, 1), rootless cofactor, p(x, 1)."""
+    _binary_check(p)
+    if p.is_zero():
+        raise ValueError("cannot factor the zero form")
+    uni, s = _to_univariate(p)
+    roots, cofactor = _urational_roots(uni)
+    return s, roots, cofactor, uni
+
+
 def linear_factors(p: HomogeneousPoly):
     """Split off every rational linear factor.
 
@@ -267,35 +259,20 @@ def linear_factors(p: HomogeneousPoly):
     remainder is the rootless cofactor of degree >= 2 or None, and
     p = scalar * prod(form^mult) * remainder exactly.
     """
-    _binary_check(p)
-    if p.is_zero():
-        raise ValueError("cannot factor the zero form")
+    s, roots, cofactor, uni = _split(p)
     ring = p.vars
-    if p.degree == 0:
-        return p.terms[(0, 0)], [], None
-    coeffs = coeff_vector(p, descale=False)
-    s = _vvaluation(coeffs)
-    factors: list[tuple[HomogeneousPoly, int]] = []
-    if s:
-        factors.append((HomogeneousPoly.variable(ring, 1), s))
-    uni = _trim(list(reversed(coeffs)))
-    roots, cofactor = _urational_roots(uni)
+    factors = [(HomogeneousPoly.variable(ring, 1), s)] if s else []
+    # p(x, 1) = scalar * prod (den x - num)^mult * remainder(x, 1): compare leads
+    scalar = uni[-1]
     for root, mult in roots:
         num, den = root.numerator, root.denominator
-        form = HomogeneousPoly(
-            ring, 1, {(1, 0): Fraction(den), (0, 1): Fraction(-num)}
-        )
+        form = HomogeneousPoly(ring, 1, {(1, 0): den, (0, 1): -num})
         factors.append((form, mult))
+        scalar /= den**mult
     remainder = None
     if len(cofactor) > 1:
         remainder = normalize_binary(_from_univariate(ring, cofactor, 0))
-    product = HomogeneousPoly(ring, 0, {(0, 0): Fraction(1)})
-    for form, mult in factors:
-        product = product * (form**mult)
-    if remainder is not None:
-        product = product * remainder
-    lead = product.leading_monomial()
-    scalar = p.coefficient(lead) / product.coefficient(lead)
+        scalar /= remainder.coefficient((remainder.degree, 0))
     return scalar, factors, remainder
 
 
@@ -304,20 +281,15 @@ def rational_roots(p: HomogeneousPoly) -> list[tuple[tuple[int, int], int]] | No
 
     Returns the full root list only when p splits completely into rational
     linear factors; each root is normalized with positive first nonzero
-    coordinate and satisfies p(a, b) = 0.
+    coordinate and satisfies p(a, b) = 0.  Root k is the root of factor k
+    of linear_factors(p).
     """
-    _, factors, remainder = linear_factors(p)
-    if remainder is not None:
+    s, roots, cofactor, _ = _split(p)
+    if len(cofactor) > 1:
         return None
-    roots = []
-    for form, mult in factors:
-        fu = form.coefficient((1, 0))
-        fv = form.coefficient((0, 1))
-        a, b = -fv, fu
-        g = int_gcd(int(a), int(b)) if a.denominator == 1 == b.denominator else 0
-        if g:
-            a, b = int(a) // g, int(b) // g
-        if a < 0 or (a == 0 and b < 0):
-            a, b = -a, -b
-        roots.append(((int(a), int(b)), mult))
-    return roots
+    # den u - num v vanishes at (num, den), already coprime with den > 0
+    out = [((1, 0), s)] if s else []
+    for root, mult in roots:
+        num, den = root.numerator, root.denominator
+        out.append(((num, den) if num >= 0 else (-num, -den), mult))
+    return out

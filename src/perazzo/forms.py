@@ -34,7 +34,6 @@ from .binary import (
     binary_gcd,
     binary_partials,
     is_squarefree,
-    linear_factors,
     normalize_binary,
     rational_roots,
 )
@@ -164,8 +163,8 @@ class PerazzoForm:
         """Split a five-variable form of shape p0 x0 + p1 x1 + p2 x2 + g.
 
         Raises ValueError when the variable set lacks the 3+2 block
-        structure, when some monomial has x-degree above 1, or when the
-        extracted p_i are linearly dependent.
+        structure, when the degree is below 3, when some monomial has
+        x-degree above 1, or when the extracted p_i are linearly dependent.
         """
         xidx = f.vars.block_indices(ROLE_X)
         uvidx = f.vars.block_indices(ROLE_UV)
@@ -175,6 +174,8 @@ class PerazzoForm:
             )
         uv = binary_variables((f.vars.names[uvidx[0]], f.vars.names[uvidx[1]]))
         d = f.degree
+        if d < 3:
+            raise ValueError("Perazzo forms need degree d >= 3")
         p_terms: list[dict] = [{}, {}, {}]
         g_terms: dict = {}
         for exps, coeff in f.terms.items():
@@ -347,17 +348,6 @@ _WITNESS_COEFFS = (1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6)
 _WITNESS_CAP = 8000
 
 
-def _point_form(ring: VariableSet, factor: HomogeneousPoly) -> HomogeneousPoly:
-    # operator factor bU - aV annihilates (au + bv)^e; recover that form,
-    # signed so the first nonzero coefficient is positive
-    f_u = factor.coefficient((1, 0))
-    f_v = factor.coefficient((0, 1))
-    a, b = -f_v, f_u
-    if a < 0 or (a == 0 and b < 0):
-        a, b = -a, -b
-    return HomogeneousPoly(ring, 1, {(1, 0): a, (0, 1): b})
-
-
 def _witness_candidates(ops, q1, r):
     for op in ops:
         yield op
@@ -397,12 +387,10 @@ def _decomposition_witness(p, r, ops, q1):
             return None
         if cand.is_zero():
             continue
-        _, factors, remainder = linear_factors(cand)
-        if remainder is not None or len(factors) != r:
+        roots = rational_roots(cand)
+        if roots is None or len(roots) != r or any(m != 1 for _, m in roots):
             continue
-        if any(mult != 1 for _, mult in factors):
-            continue
-        points = [_point_form(p.vars, form) for form, _ in factors]
+        points = [_root_form(p.vars, root) for root, _ in roots]
         cols = [coeff_vector(pt**e, descale=False) for pt in points]
         system = RationalMatrix(
             [[cols[c][row] for c in range(r)] for row in range(e + 1)], ncols=r

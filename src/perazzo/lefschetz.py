@@ -126,6 +126,8 @@ def hessian(
     depend on the basis choice.
     """
     ensure_desk_scale(f, max_degree)
+    if f.is_zero():
+        raise ValueError("zero polynomial")
     if not 1 <= t <= f.degree // 2:
         raise ValueError(f"Hessian order {t} outside 1..{f.degree // 2}")
     basis = monomial_basis_of_A(f, t, reverse=reverse, max_degree=max_degree)

@@ -82,13 +82,18 @@ def test_binary_gcd_degenerate_arguments(uv, u, v):
 
 def test_linear_factors_reconstructs_seeded_products(uv, u, v):
     rng = random.Random(302)
-    for _ in range(20):
-        scalar = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+    # Rootless cofactors, one with a leading coefficient other than +-1.
+    cofactors = [None, u * u + v * v, (u * u).scale(2) + (v * v).scale(3)]
+    for _ in range(40):
+        scalar = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 5, 7]))
         p = HomogeneousPoly(uv, 0, {(0, 0): scalar})
         for _ in range(rng.randint(1, 4)):
             p = p * linear(uv, rng.randint(-3, 3), rng.randint(-3, 3) or 1)
-        if rng.random() < 0.5:
-            p = p * (u * u + v * v)
+        if rng.random() < 0.3:
+            p = p * v ** rng.randint(1, 3)
+        cofactor = rng.choice(cofactors)
+        if cofactor is not None:
+            p = p * cofactor
         got_scalar, factors, remainder = linear_factors(p)
         product = HomogeneousPoly(uv, 0, {(0, 0): Fraction(1)})
         for form, mult in factors:
@@ -187,6 +192,12 @@ def test_rational_roots_match_sympy_factorization(planted, scalar, quadratic):
     assert got is not None
     assert len({root for root, _ in got}) == len(got)
     assert dict(got) == expected
+    # Root k of rational_roots is the root of factor k of linear_factors.
+    _, factors, remainder = linear_factors(p)
+    assert remainder is None
+    assert [mult for _, mult in factors] == [mult for _, mult in got]
+    for (form, _), ((a, b), _) in zip(factors, got):
+        assert form.evaluate([Fraction(a), Fraction(b)]) == 0
 
 
 def test_is_squarefree(uv, u, v):

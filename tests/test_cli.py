@@ -241,13 +241,23 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["survey", "--degrees", "x"],
         ["survey", "--degrees", "5..x"],
         ["survey", "--file", str(path)],
+        ["relation", "0"],
+        ["relation", "7"],
+        ["hessian", "0", "--t", "1"],
     ]
+    messages = {
+        ("relation", "0"): "Perazzo forms need degree d >= 3",
+        ("relation", "7"): "Perazzo forms need degree d >= 3",
+        ("hessian", "0", "--t", "1"): "zero polynomial",
+    }
     for argv in cases:
         rc, _, err = run_cli(capsys, argv)
         assert rc == 2, argv
         assert "usage error:" in err
         if "--degrees" in argv:
             assert f"bad degree range {argv[-1]!r} (need 3 <= lo <= hi)" in err
+        if tuple(argv) in messages:
+            assert f"usage error: {messages[tuple(argv)]}" in err
 
 
 def test_parse_error_exits_3(capsys):
