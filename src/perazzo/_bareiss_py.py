@@ -2,8 +2,9 @@
 
 Bareiss one-step elimination: every intermediate entry is a minor of the
 input, so the running division by the previous pivot is exact.  The update
-must touch every row below the pivot (zero pivot-column entries included) or
-that exactness is lost.  Matrices are lists of lists of Python ints, or of
+must touch every row below the pivot (zero pivot-column entries included),
+and in the reduced form `reduce_int` every row above it too, or that
+exactness is lost.  Matrices are lists of lists of Python ints, or of
 exact-division ring elements: values with `*`, `-`, an exact `//` for which
 `x // 1` is x, and truth meaning nonzero (`linalg` passes polynomials over
 Z).  The pivot is the first nonzero entry of its column.  Callers clear
@@ -12,7 +13,7 @@ denominators.
 
 from __future__ import annotations
 
-__all__ = ["echelon_int", "rank_int", "det_int"]
+__all__ = ["echelon_int", "reduce_int", "rank_int", "det_int"]
 
 
 def echelon_int(rows, ncols):
@@ -53,6 +54,39 @@ def echelon_int(rows, ncols):
         if r == nrows:
             break
     return m, piv_cols, sign
+
+
+def reduce_int(rows, ncols):
+    """Fraction-free reduced echelon form (Bareiss elimination above and below
+    each pivot).  Returns (matrix, pivot_columns).
+
+    Pivots are sought in the first `ncols` columns; any later columns are
+    carried along, as in an augmented matrix.  Row i < rank holds the last
+    pivot at pivot_columns[i] and zero at every other pivot column; the rows
+    from rank on are zero in the first `ncols` columns.
+    """
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    piv_cols = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, nrows) if m[i][c]), -1)
+        if p < 0:
+            continue
+        m[r], m[p] = m[p], m[r]
+        row_r = m[r]
+        piv = row_r[c]
+        for i in range(nrows):
+            if i != r:
+                mic = m[i][c]
+                m[i] = [(piv * x - mic * y) // prev for x, y in zip(m[i], row_r)]
+        prev = piv
+        piv_cols.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, piv_cols
 
 
 def rank_int(rows, ncols):

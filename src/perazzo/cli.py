@@ -46,7 +46,7 @@ from .forms import (
     three_points_family,
     waring_rank,
 )
-from .inverse_systems import ann_basis, h_vector, is_osequence
+from .inverse_systems import DEFAULT_MAX_VARS, ann_basis, h_vector, is_osequence
 from .lefschetz import has_slp, has_wlp, hessian
 from .parsing import parse_poly
 from .poly import (
@@ -187,7 +187,8 @@ def _classify(f: HomogeneousPoly, ring: VariableSet, args) -> dict:
             "lam": str(nm.lam) if nm.lam is not None else None,
             "mu": str(nm.mu) if nm.mu is not None else None,
         },
-        "cone": is_cone(f, max_degree=args.max_degree),
+        # A nonzero constant defines no hypersurface, so there is no cone to test.
+        "cone": None if f.degree == 0 and f else is_cone(f, max_degree=args.max_degree),
     }
 
 
@@ -401,7 +402,8 @@ def _text_lines(report: dict) -> list[str]:
             lines.append(f"normal form: first = {nm['first']}, second = {nm['second']}")
             if nm["lam"] is not None:
                 lines.append(f"middle point: lam = {nm['lam']}, mu = {nm['mu']}")
-        lines.append(f"cone: {res['cone']}")
+        if res["cone"] is not None:
+            lines.append(f"cone: {res['cone']}")
     elif cmd == "waring":
         lines.append(f"rank: {res['rank']}  border rank: {res['border_rank']}")
         if res["witness"]:
@@ -524,6 +526,11 @@ def _run(args) -> dict:
             default_vars = _XUV  # one Perazzo form, not three binary forms
         ring = _variable_set(args.vars or default_vars)
         f = text if name == "relation" else parse_poly(text, ring)
+        if len(ring) > DEFAULT_MAX_VARS:
+            raise GuardError(
+                f"{len(ring)} variables exceed the guard ({DEFAULT_MAX_VARS}); "
+                "the command line cannot lift this limit"
+            )
     return {
         "schema": SCHEMA,
         "command": name,

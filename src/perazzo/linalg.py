@@ -1,10 +1,10 @@
 """Exact dense linear algebra over Q and over polynomial rings.
 
-`RationalMatrix` holds Fraction entries; rank, determinant and reduced row
-echelon form (hence kernel, inverse and solve) go through the fraction-free
-Bareiss kernel `bareiss.echelon_int` after clearing denominators row by
-row, which changes neither rank nor row space and scales the determinant by
-a known factor.
+`RationalMatrix` holds Fraction entries; rank and determinant go through
+the fraction-free Bareiss kernel `bareiss.echelon_int`, and the reduced row
+echelon form (hence kernel, inverse and solve) through its reduced variant
+`bareiss.reduce_int`, after clearing denominators row by row, which changes
+neither rank nor row space and scales the determinant by a known factor.
 
 `live_int_rows` turns a family of sparse rational column vectors (term maps,
 say) into the integer rows of their nonzero support, one common denominator
@@ -150,21 +150,16 @@ class RationalMatrix:
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns.
 
-        Integer Bareiss echelon of the nonzero rows, then back-substitution
-        over Q from the last pivot row up; zero rows end up at the bottom.
+        Fraction-free reduction of the nonzero integer rows
+        (`bareiss.reduce_int`), then one division by the common pivot; zero
+        rows end up at the bottom.
         """
         int_rows, _ = self._int_rows()
-        live_rows = [r for r in int_rows if any(r)]
-        ech, piv_cols, _ = bareiss.echelon_int(live_rows, self.ncols)
-        red = [[0] * self.ncols for _ in range(self.nrows)]
-        for i in range(len(piv_cols) - 1, -1, -1):
-            x = ech[i]
-            for k in range(i + 1, len(piv_cols)):
-                c = x[piv_cols[k]]
-                if c:
-                    x = [a - c * b if b else a for a, b in zip(x, red[k])]
-            piv = x[piv_cols[i]]
-            red[i] = [Fraction(a, piv) for a in x]
+        ech, piv_cols = bareiss.reduce_int([r for r in int_rows if any(r)], self.ncols)
+        rank = len(piv_cols)
+        delta = ech[rank - 1][piv_cols[-1]] if rank else 1
+        red = [[Fraction(a, delta) for a in ech[i]] for i in range(rank)]
+        red += [[Fraction(0)] * self.ncols for _ in range(self.nrows - rank)]
         return RationalMatrix(red, ncols=self.ncols), tuple(piv_cols)
 
     def inverse(self) -> "RationalMatrix":

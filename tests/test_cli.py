@@ -171,6 +171,20 @@ def test_classify_json_rejects_shape_gracefully(capsys):
     assert res["normalization"] is None
 
 
+def test_classify_constant_is_not_perazzo_and_has_no_cone(capsys):
+    # A nonzero constant defines no hypersurface: there is no cone to test.
+    report = run_json(capsys, ["classify", "7"])
+    res = report["results"]
+    assert res["case"] == "not-perazzo"
+    assert res["cone"] is None
+    rc, out, err = run_cli(capsys, ["classify", "7"])
+    assert (rc, err) == (0, "")
+    assert "case: not-perazzo" in out and "cone:" not in out
+    # The zero polynomial stays a usage error.
+    rc, _, err = run_cli(capsys, ["classify", "0"])
+    assert rc == 2 and "no hypersurface" in err
+
+
 # -- waring and relation --------------------------------------------------------------
 
 
@@ -282,6 +296,19 @@ def test_guard_error_exits_4_and_max_degree_lifts_it(capsys):
     report = run_json(capsys, ["ann", "u^3*v", "--vars", "u,v", "--t", "40",
                                "--max-degree", "40"])
     assert report["results"]["dimension"] == 41
+
+
+def test_variable_guard_says_the_command_line_cannot_lift_it(capsys):
+    rc, out, err = run_cli(capsys, ["hvector", "a^2", "--vars", "a,b,c,d,e,f,g,h,i"])
+    assert (rc, out) == (4, "")
+    assert err == (
+        "guard: 9 variables exceed the guard (8); "
+        "the command line cannot lift this limit\n"
+    )
+    assert "max_vars" not in err
+    # A parse error still comes first.
+    rc, _, err = run_cli(capsys, ["hvector", "a^2 +", "--vars", "a,b,c,d,e,f,g,h,i"])
+    assert rc == 3 and "parse error:" in err
 
 
 def test_survey_passes_max_degree_to_every_sample(capsys):

@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from perazzo.bareiss import rank_int
 from perazzo.forms import (
+    max_hvector,
     osculating_family,
     random_perazzo_form,
     tangent_point_family,
@@ -26,7 +28,7 @@ from perazzo.lefschetz import (
     mult_map_matrix,
 )
 from perazzo import inverse_systems, lefschetz
-from perazzo.inverse_systems import h_vector
+from perazzo.inverse_systems import catalecticant, h_vector
 from perazzo.linalg import PolyMatrix, generic_rank
 from perazzo.parsing import parse_poly
 from perazzo.poly import HomogeneousPoly, VariableSet, random_binary_form
@@ -308,3 +310,69 @@ def test_has_wlp_builds_each_catalecticant_once(monkeypatch, pf, holds):
     ]
     assert verdict.holds == (not failing)
     assert verdict.failing_degree == (failing[0] + 1 if failing else None)
+
+
+def _counting_generic_rank(monkeypatch) -> list[int]:
+    """Route has_wlp's symbolic rank through a recorder of its results."""
+    ranks = []
+
+    def recording(matrix):
+        ranks.append(generic_rank(matrix))
+        return ranks[-1]
+
+    monkeypatch.setattr(lefschetz, "generic_rank", recording)
+    return ranks
+
+
+def test_shrunk_subspace_declines_on_skew_symmetric_pencil(monkeypatch):
+    # span{[[0, a, b], [-a, 0, c], [-b, -c, 0]]}: every member has rank <= 2
+    # (commutative rank 2), yet no subspace shrinks for all of them at once
+    # (non-commutative rank 3).  The certificate must decline, and the stage
+    # is decided by the rank over Q(a_0, a_1, a_2).
+    entries = [
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+        [(-1, 0, 0), (0, 0, 0), (0, 0, 1)],
+        [(0, -1, 0), (0, 0, -1), (0, 0, 0)],
+    ]
+    pencil = lefschetz._StagePencil(3, 3, entries, (1, 1, 1))
+    trials = [[3, 5, 7], [2, 11, 13], [17, 19, 23]]
+    A = lefschetz._stage_matrix(pencil, trials[0])
+    assert rank_int(A, 3) == 2
+    assert lefschetz._shrunk_subspace(pencil, A) is None
+    ranks = _counting_generic_rank(monkeypatch)
+    assert lefschetz._settle_stage(pencil, 3, trials) == (False, None)
+    assert ranks == [2]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(pf=st.one_of(_random_forms, _family_forms), seed=st.integers(0, 50))
+def test_shrunk_subspace_bound_is_the_generic_rank(pf, seed):
+    # Wherever the second Wong sequence from a random member A stays in its
+    # image, ncols - (dim U* - dim W*) bounds every member's rank; A reaches
+    # that bound, so it is the rank over the function field.  Where A has
+    # full rank that is immediate, so the symbolic rank runs on the rest.
+    f = pf.to_polynomial()
+    rng = random.Random(seed)
+    for i in range(f.degree):
+        pencil = lefschetz._stage_pencil(catalecticant(f, i), catalecticant(f, i + 1))
+        A = lefschetz._stage_matrix(pencil, [rng.randint(1, 997) for _ in range(len(f.vars))])
+        dims = lefschetz._shrunk_subspace(pencil, A)
+        if dims is None:
+            continue
+        bound = pencil.ncols - (dims[0] - dims[1])
+        assert bound == rank_int(A, pencil.ncols)
+        if bound < min(len(A), pencil.ncols):
+            assert bound == generic_rank(mult_map_matrix(f, i, None))
+
+
+@pytest.mark.parametrize("d", range(5, 11))
+def test_maximal_h_wlp_failure_is_proven_without_symbolic_rank(monkeypatch, d):
+    # The paper: a Perazzo 3-fold with maximal h fails the WLP.  A shrunk
+    # subspace settles every deficient stage, so no symbolic rank runs.
+    f = random_perazzo_form(d, seed=1000).to_polynomial()
+    assert h_vector(f).entries == max_hvector(d).entries
+    ranks = _counting_generic_rank(monkeypatch)
+    verdict = has_wlp(f)
+    assert not verdict.holds
+    assert verdict.certificate == CERT_ALL_SPECIALIZATIONS_DEFICIENT
+    assert ranks == []

@@ -245,6 +245,29 @@ def test_integer_kernels_match_sympy():
             assert bareiss.det_int([list(r) for r in rows]) == sympy_det(rows)
 
 
+def test_reduce_int_matches_sympy_rref_and_carries_columns():
+    rng = random.Random(108)
+    for _ in range(60):
+        nrows, ncols, carried = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 3)
+        basis = [
+            [rng.randint(-9, 9) if rng.random() > 0.3 else 0 for _ in range(ncols + carried)]
+            for _ in range(rng.randint(1, nrows))
+        ]
+        rows = [
+            [sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(ncols + carried)]
+            for _ in range(nrows)
+        ]
+        red, piv = bareiss.reduce_int([list(r) for r in rows], ncols)
+        expected, expected_piv = sympy_rref([r[:ncols] for r in rows])
+        assert tuple(piv) == expected_piv
+        rank = len(piv)
+        delta = red[rank - 1][piv[-1]] if rank else 1
+        assert [[Fraction(x, delta) for x in r[:ncols]] for r in red[:rank]] == expected[:rank]
+        assert not any(x for r in red[rank:] for x in r[:ncols])
+        # The carried columns went through the same invertible row operations.
+        assert sympy_rank(red) == sympy_rank(rows) == sympy_rank(red + rows)
+
+
 def test_backend_name_is_declared():
     assert bareiss.BACKEND == "python"
 
